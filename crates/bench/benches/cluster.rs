@@ -209,9 +209,9 @@ fn bench_hit_latency(c: &mut Criterion) {
     report_counter(
         "cluster-hit",
         "forwarded-hits",
-        relay.hits_forwarded() as f64,
+        relay.hits_forwarded.get() as f64,
     );
-    assert!(relay.hits_forwarded() > 0, "forwarding never happened");
+    assert!(relay.hits_forwarded.get() > 0, "forwarding never happened");
     for node in nodes {
         node.shutdown();
     }
@@ -263,7 +263,13 @@ fn bench_sweep_hit_ratio(c: &mut Criterion) {
     );
     let forwarded: u64 = nodes
         .iter()
-        .map(|n| n.state().cluster().expect("cluster mode").hits_forwarded())
+        .map(|n| {
+            n.state()
+                .cluster()
+                .expect("cluster mode")
+                .hits_forwarded
+                .get()
+        })
         .sum();
     report_counter("cluster-sweep", "forwarded-hits", forwarded as f64);
     group.bench_function("repeat-3-nodes", |b| {
@@ -366,21 +372,21 @@ fn bench_partitioned_vs_healthy(c: &mut Criterion) {
     report_counter(
         "cluster-partition",
         "forward-errors",
-        relay.forward_errors() as f64,
+        relay.forward_errors.get() as f64,
     );
     report_counter(
         "cluster-partition",
         "forward-retries",
-        relay.forward_retries() as f64,
+        relay.forward_retries.get() as f64,
     );
     report_counter(
         "cluster-partition",
         "hints-queued",
-        relay.handoff_queued() as f64,
+        relay.handoff_queued.get() as f64,
     );
-    assert!(relay.forward_errors() > 0, "the partition never bit");
+    assert!(relay.forward_errors.get() > 0, "the partition never bit");
     assert!(
-        relay.handoff_queued() >= 1,
+        relay.handoff_queued.get() >= 1,
         "fallback solves must queue a handoff hint"
     );
     for node in nodes {

@@ -192,7 +192,7 @@ fn bench_service_throughput(c: &mut Criterion) {
         .map(|_| TcpStream::connect(addr).expect("swarm connect"))
         .collect();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while handle.state().metrics.conns_in(ConnPhase::Idle) < idle_conns {
+    while handle.state().metrics.conns(ConnPhase::Idle).get() < idle_conns {
         assert!(
             Instant::now() < deadline,
             "reactor never registered the idle swarm"
@@ -214,7 +214,7 @@ fn bench_service_throughput(c: &mut Criterion) {
     // swarm idles on the reactor threads.
     let (req_per_sec, p99_ms) = throughput_phase(addr, &body, per_client);
     assert!(
-        handle.state().metrics.conns_in(ConnPhase::Idle) >= idle_conns,
+        handle.state().metrics.conns(ConnPhase::Idle).get() >= idle_conns,
         "the idle swarm must stay registered through the throughput phase"
     );
     report_counter("service-throughput", "idle-connections", idle_conns as f64);

@@ -117,75 +117,6 @@ impl P2Quantile {
             + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 
-    /// Fold another estimator's state into this one (both must track the
-    /// same quantile).
-    ///
-    /// P² keeps five (height, rank) markers rather than the raw stream, so
-    /// an exact merge is impossible; this replays the other estimator's
-    /// markers into `self`, each weighted by the number of observations it
-    /// represents (the rank interval centered on the marker). The result
-    /// is an approximation whose error is on the order of the P² error
-    /// itself — good enough to combine per-worker latency recorders into
-    /// one service-wide tail estimate. Cost is `O(other.count())`.
-    pub fn merge(&mut self, other: &P2Quantile) {
-        assert!(
-            (self.q - other.q).abs() < 1e-12,
-            "cannot merge estimators of different quantiles ({} vs {})",
-            self.q,
-            other.q
-        );
-        if other.count == 0 {
-            return;
-        }
-        if other.count < 5 {
-            // The other side still stores raw samples: replay them exactly.
-            for &x in &other.heights[..other.count] {
-                self.record(x);
-            }
-            return;
-        }
-        // The five markers define an empirical CDF: marker `i` is (by the
-        // P² invariant) the sample at rank `positions[i]` of `count`
-        // observations. Reconstruct a surrogate stream of exactly
-        // `other.count()` samples by inverting the piecewise-linear CDF
-        // through those points, and replay it in a strided (pseudo-
-        // shuffled) order so the estimator sees something stream-like
-        // rather than a sorted ramp.
-        let n = other.count;
-        let nf = n as f64;
-        let mut cum = [0.0f64; 5];
-        for (c, &p) in cum.iter_mut().zip(&other.positions) {
-            *c = (p - 1.0) / (nf - 1.0);
-        }
-        let invert = |u: f64| -> f64 {
-            let mut i = 0;
-            while i < 3 && u > cum[i + 1] {
-                i += 1;
-            }
-            let span = cum[i + 1] - cum[i];
-            if span <= 0.0 {
-                other.heights[i]
-            } else {
-                let t = ((u - cum[i]) / span).clamp(0.0, 1.0);
-                other.heights[i] + t * (other.heights[i + 1] - other.heights[i])
-            }
-        };
-        // A stride coprime with n visits every rank exactly once.
-        let mut stride = 7919 % n;
-        while stride == 0 || gcd(stride, n) != 1 {
-            stride = (stride + 1) % n.max(2);
-            if stride == 0 {
-                stride = 1;
-            }
-        }
-        let mut j = 0usize;
-        for _ in 0..n {
-            let u = (j as f64 + 0.5) / nf;
-            self.record(invert(u));
-            j = (j + stride) % n;
-        }
-    }
-
     /// Current quantile estimate (exact order statistic below 5 samples;
     /// 0 when empty).
     pub fn estimate(&self) -> f64 {
@@ -199,15 +130,6 @@ impl P2Quantile {
             return v[rank];
         }
         self.heights[2]
-    }
-}
-
-/// Greatest common divisor (for the merge replay stride).
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 
@@ -285,60 +207,5 @@ mod tests {
     #[should_panic(expected = "strictly in (0, 1)")]
     fn rejects_degenerate_quantiles() {
         let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn merge_of_split_streams_approximates_whole_stream() {
-        // Split one exponential stream over 4 "worker" estimators, merge
-        // them, and compare against the single-estimator answer — the
-        // scenario of latencyd's per-worker latency recorders.
-        let mut rng = SimRng::new(11);
-        let samples: Vec<f64> = (0..80_000).map(|_| rng.exponential(1.0)).collect();
-        for q in [0.5, 0.95] {
-            let mut whole = P2Quantile::new(q);
-            let mut workers: Vec<P2Quantile> = (0..4).map(|_| P2Quantile::new(q)).collect();
-            for (i, &x) in samples.iter().enumerate() {
-                whole.record(x);
-                workers[i % 4].record(x);
-            }
-            let mut merged = P2Quantile::new(q);
-            for w in &workers {
-                merged.merge(w);
-            }
-            assert_eq!(
-                merged.count(),
-                samples.len(),
-                "merge must preserve total weight (q = {q})"
-            );
-            let exact = -(1.0f64 - q).ln();
-            let est = merged.estimate();
-            assert!(
-                (est - exact).abs() / exact < 0.15,
-                "q = {q}: merged {est} vs analytic {exact} (whole-stream {})",
-                whole.estimate()
-            );
-        }
-    }
-
-    #[test]
-    fn merge_small_estimators_is_exact_replay() {
-        let mut a = P2Quantile::new(0.5);
-        a.record(1.0);
-        a.record(5.0);
-        let mut b = P2Quantile::new(0.5);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.estimate(), 3.0, "median of {{1,3,5}}");
-        // Merging an empty estimator changes nothing.
-        a.merge(&P2Quantile::new(0.5));
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different quantiles")]
-    fn merge_rejects_mismatched_quantiles() {
-        let mut a = P2Quantile::new(0.5);
-        a.merge(&P2Quantile::new(0.95));
     }
 }

@@ -107,18 +107,6 @@ impl Tally {
     pub fn sum(&self) -> f64 {
         self.sum
     }
-
-    /// Fold another tally into this one. Exact: the merged tally is
-    /// identical to one that saw both observation streams. Lets per-thread
-    /// tallies (e.g. the serving layer's per-worker latency recorders) be
-    /// combined at scrape time without sharing a lock on the hot path.
-    pub fn merge(&mut self, other: &Tally) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Time-weighted statistics of a piecewise-constant signal.
@@ -275,43 +263,6 @@ mod tests {
         t.record(5.0);
         assert_eq!(t.mean(), 5.0);
         assert_eq!(t.variance(), 0.0);
-    }
-
-    #[test]
-    fn tally_merge_is_exact() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut whole = Tally::new();
-        for &x in &all {
-            whole.record(x);
-        }
-        let mut left = Tally::new();
-        let mut right = Tally::new();
-        for &x in &all[..37] {
-            left.record(x);
-        }
-        for &x in &all[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn tally_merge_with_empty_is_identity() {
-        let mut t = Tally::new();
-        t.record(1.0);
-        t.record(3.0);
-        let before = (t.count(), t.mean(), t.min(), t.max());
-        t.merge(&Tally::new());
-        assert_eq!(before, (t.count(), t.mean(), t.min(), t.max()));
-        let mut empty = Tally::new();
-        empty.merge(&t);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), 2.0);
     }
 
     #[test]

@@ -14,30 +14,14 @@
 //! (capacity / 16) and the scan avoids the linked-list bookkeeping a
 //! textbook LRU needs under a mutex.
 
+use crate::metrics::Counter;
 use crate::sync::lock_ok;
+use lt_core::json::JsonValue;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of independent shards.
 pub const SHARDS: usize = 16;
-
-/// Counter snapshot returned by [`SolveCache::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Current number of live entries.
-    pub entries: usize,
-    /// Configured capacity (total across shards).
-    pub capacity: usize,
-}
 
 struct Shard<V> {
     map: HashMap<String, Entry<V>>,
@@ -53,11 +37,14 @@ struct Entry<V> {
 pub struct SolveCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard_capacity: usize,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    /// Lookups that found a live entry.
+    pub(crate) hits: Counter,
+    /// Lookups that missed.
+    pub(crate) misses: Counter,
+    /// Entries inserted.
+    pub(crate) insertions: Counter,
+    /// Entries evicted to make room.
+    pub(crate) evictions: Counter,
 }
 
 /// FNV-1a, the shard selector (stable, dependency-free).
@@ -71,10 +58,11 @@ fn fnv1a(key: &str) -> u64 {
 }
 
 impl<V: Clone> SolveCache<V> {
-    /// A cache holding at most `capacity` entries (rounded up to a
-    /// multiple of the shard count; a zero capacity disables caching).
+    /// A cache of about `capacity` entries: each shard holds
+    /// `ceil(capacity / SHARDS)`, so the bound is rounded up to a
+    /// multiple of the shard count (see [`Self::capacity`]); a zero
+    /// capacity disables caching.
     pub fn new(capacity: usize) -> Self {
-        let per_shard_capacity = capacity.div_ceil(SHARDS);
         SolveCache {
             shards: (0..SHARDS)
                 .map(|_| {
@@ -84,13 +72,18 @@ impl<V: Clone> SolveCache<V> {
                     })
                 })
                 .collect(),
-            per_shard_capacity,
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            per_shard_capacity: capacity.div_ceil(SHARDS),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            insertions: Counter::default(),
+            evictions: Counter::default(),
         }
+    }
+
+    /// The most entries the cache can hold: the requested capacity
+    /// rounded up to a whole number of entries per shard.
+    pub fn capacity(&self) -> usize {
+        self.per_shard_capacity * SHARDS
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
@@ -105,11 +98,11 @@ impl<V: Clone> SolveCache<V> {
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(entry.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -132,10 +125,10 @@ impl<V: Clone> SolveCache<V> {
                 .map(|(k, _)| k.clone())
             {
                 shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.inc();
             }
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.insertions.inc();
         shard.map.insert(
             key,
             Entry {
@@ -155,16 +148,16 @@ impl<V: Clone> SolveCache<V> {
         self.len() == 0
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
-            capacity: self.capacity,
-        }
+    /// The `cache` object of the `/metrics` document.
+    pub fn metrics_doc(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("hits", (&self.hits).into()),
+            ("misses", (&self.misses).into()),
+            ("insertions", (&self.insertions).into()),
+            ("evictions", (&self.evictions).into()),
+            ("entries", self.len().into()),
+            ("capacity", self.capacity().into()),
+        ])
     }
 }
 
@@ -179,8 +172,8 @@ mod tests {
         assert_eq!(cache.get("k"), None);
         cache.insert("k".into(), 7);
         assert_eq!(cache.get("k"), Some(7));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.insertions, s.entries), (1, 1, 1, 1));
+        let counts = (cache.hits.get(), cache.misses.get(), cache.insertions.get());
+        assert_eq!((counts, cache.len()), ((1, 1, 1), 1));
     }
 
     #[test]
@@ -206,7 +199,7 @@ mod tests {
         cache.insert(same[2].clone(), 2); // evicts same[1]
         assert_eq!(cache.get(&same[1]), None);
         assert_eq!(cache.get(&same[2]), Some(2));
-        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.evictions.get(), 2);
     }
 
     #[test]
@@ -246,7 +239,7 @@ mod tests {
         cache.insert("a".into(), 2);
         assert_eq!(cache.get("a"), Some(2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.evictions.get(), 0);
     }
 
     #[test]
@@ -270,8 +263,28 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let s = cache.stats();
-        assert!(s.hits > 0 && s.insertions > 0);
-        assert!(s.entries <= 256);
+        assert!(cache.hits.get() > 0 && cache.insertions.get() > 0);
+        assert!(cache.len() <= 256);
+    }
+
+    #[test]
+    fn metrics_report_the_bound_the_cache_actually_keeps() {
+        // 100 does not divide into 16 shards: each shard keeps 7, so the
+        // cache holds up to 112 entries and must say so.
+        let cache: SolveCache<u32> = SolveCache::new(100);
+        for i in 0..1_000 {
+            cache.insert(format!("k{i}"), i);
+        }
+        let doc = cache.metrics_doc();
+        let field = |name: &str| doc.get(name).and_then(|v| v.as_u64()).unwrap();
+        assert!(
+            field("entries") <= field("capacity"),
+            "entries {} > capacity {}",
+            field("entries"),
+            field("capacity")
+        );
+        assert_eq!(field("capacity"), 112);
+        assert_eq!(SolveCache::<u32>::new(1).capacity(), SHARDS);
+        assert_eq!(SolveCache::<u32>::new(0).capacity(), 0);
     }
 }

@@ -54,7 +54,6 @@ pub mod membership;
 pub mod ring;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -62,6 +61,7 @@ use lt_core::json::{self, JsonValue};
 
 use crate::fault::ChaosNet;
 use crate::http::ParsedResponse;
+use crate::metrics::Counter;
 use crate::sync::lock_ok;
 use forward::{ForwardError, FORWARD_MAX_BODY};
 use membership::{Membership, MembershipEvent};
@@ -147,17 +147,31 @@ pub struct Cluster {
     /// cluster — which the live ring forgets the moment the failure
     /// detector evicts that owner.
     home_ring: Mutex<HashRing>,
-    hits_local: AtomicU64,
-    hits_forwarded: AtomicU64,
-    forward_errors: AtomicU64,
-    ring_rebuilds: AtomicU64,
-    partitions_observed: AtomicU64,
-    forward_retries: AtomicU64,
-    replica_hits: AtomicU64,
-    budget_exhausted: AtomicU64,
-    handoff_queued: AtomicU64,
-    handoff_delivered: AtomicU64,
-    handoff_dropped: AtomicU64,
+    /// Requests answered by local compute or cache.
+    pub hits_local: Counter,
+    /// Requests answered via a successful forward.
+    pub hits_forwarded: Counter,
+    /// Failed forwards (each fell back to another replica or a local
+    /// solve).
+    pub forward_errors: Counter,
+    /// Ring rebuilds since startup (the initial build is not counted).
+    pub ring_rebuilds: Counter,
+    /// Entries into a partitioned regime (first peer declared Dead while
+    /// none were).
+    pub partitions_observed: Counter,
+    /// Forward attempts beyond a request's first.
+    pub forward_retries: Counter,
+    /// Forwarded hits answered by a non-owner replica.
+    pub(crate) replica_hits: Counter,
+    /// Requests whose remaining deadline was too small to risk (more)
+    /// forwarding.
+    pub(crate) budget_exhausted: Counter,
+    /// Hints accepted into the handoff queue.
+    pub handoff_queued: Counter,
+    /// Hints delivered to their owner.
+    pub handoff_delivered: Counter,
+    /// Hints dropped (queue overflow, unknown owner, or owner rejected).
+    pub handoff_dropped: Counter,
     /// Bounded hinted-handoff queue (lock independent of membership and
     /// ring; never held across network I/O).
     hints: Mutex<VecDeque<Hint>>,
@@ -188,17 +202,17 @@ impl Cluster {
             membership: Mutex::new(membership),
             ring: Mutex::new(ring),
             home_ring: Mutex::new(home_ring),
-            hits_local: AtomicU64::new(0),
-            hits_forwarded: AtomicU64::new(0),
-            forward_errors: AtomicU64::new(0),
-            ring_rebuilds: AtomicU64::new(0),
-            partitions_observed: AtomicU64::new(0),
-            forward_retries: AtomicU64::new(0),
-            replica_hits: AtomicU64::new(0),
-            budget_exhausted: AtomicU64::new(0),
-            handoff_queued: AtomicU64::new(0),
-            handoff_delivered: AtomicU64::new(0),
-            handoff_dropped: AtomicU64::new(0),
+            hits_local: Counter::default(),
+            hits_forwarded: Counter::default(),
+            forward_errors: Counter::default(),
+            ring_rebuilds: Counter::default(),
+            partitions_observed: Counter::default(),
+            forward_retries: Counter::default(),
+            replica_hits: Counter::default(),
+            budget_exhausted: Counter::default(),
+            handoff_queued: Counter::default(),
+            handoff_delivered: Counter::default(),
+            handoff_dropped: Counter::default(),
             hints: Mutex::new(VecDeque::new()),
             handoff_capacity: cfg.handoff_queue,
             replicas: cfg.replicas.max(1),
@@ -284,93 +298,6 @@ impl Cluster {
         lock_ok(&self.membership).addr_of(id).map(str::to_string)
     }
 
-    /// Count one request answered by local compute/cache.
-    pub fn record_hit_local(&self) {
-        self.hits_local.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one request answered via a successful forward to the owner.
-    pub fn record_hit_forwarded(&self) {
-        self.hits_forwarded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one failed forward (fell back to a local solve).
-    pub fn record_forward_error(&self) {
-        self.forward_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests served locally so far.
-    pub fn hits_local(&self) -> u64 {
-        self.hits_local.load(Ordering::Relaxed)
-    }
-
-    /// Requests served via forwarding so far.
-    pub fn hits_forwarded(&self) -> u64 {
-        self.hits_forwarded.load(Ordering::Relaxed)
-    }
-
-    /// Failed forwards so far.
-    pub fn forward_errors(&self) -> u64 {
-        self.forward_errors.load(Ordering::Relaxed)
-    }
-
-    /// Ring rebuilds since startup (the initial build is not counted).
-    pub fn ring_rebuilds(&self) -> u64 {
-        self.ring_rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Count one forward retry (an attempt beyond a request's first).
-    pub fn record_forward_retry(&self) {
-        self.forward_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one request answered by a non-owner replica.
-    pub fn record_replica_hit(&self) {
-        self.replica_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one request whose remaining deadline was too small to risk
-    /// (more) forwarding.
-    pub fn record_budget_exhausted(&self) {
-        self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Forward retries so far.
-    pub fn forward_retries(&self) -> u64 {
-        self.forward_retries.load(Ordering::Relaxed)
-    }
-
-    /// Replica (non-owner) forwarded hits so far.
-    pub fn replica_hits(&self) -> u64 {
-        self.replica_hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that skipped or cut short forwarding on deadline budget.
-    pub fn budget_exhausted(&self) -> u64 {
-        self.budget_exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Entries into a partitioned regime (first peer declared Dead while
-    /// none were) since startup.
-    pub fn partitions_observed(&self) -> u64 {
-        self.partitions_observed.load(Ordering::Relaxed)
-    }
-
-    /// Hints accepted into the handoff queue so far.
-    pub fn handoff_queued(&self) -> u64 {
-        self.handoff_queued.load(Ordering::Relaxed)
-    }
-
-    /// Hints delivered to their owner so far.
-    pub fn handoff_delivered(&self) -> u64 {
-        self.handoff_delivered.load(Ordering::Relaxed)
-    }
-
-    /// Hints dropped (queue overflow, unknown owner, or owner rejected).
-    pub fn handoff_dropped(&self) -> u64 {
-        self.handoff_dropped.load(Ordering::Relaxed)
-    }
-
     /// Hints currently waiting for their owner.
     pub fn hints_pending(&self) -> usize {
         lock_ok(&self.hints).len()
@@ -391,7 +318,7 @@ impl Cluster {
             let mut ring = lock_ok(&self.ring);
             if *ring != next {
                 *ring = next;
-                self.ring_rebuilds.fetch_add(1, Ordering::Relaxed);
+                self.ring_rebuilds.inc();
             }
         }
         // The home ring tracks the full member set (it only changes when
@@ -421,7 +348,7 @@ impl Cluster {
             // entering a partitioned regime (a crash is indistinguishable
             // from here, and counts the same).
             if matches!(ev, MembershipEvent::Died(_)) && m.members_dead() == 1 {
-                self.partitions_observed.fetch_add(1, Ordering::Relaxed);
+                self.partitions_observed.inc();
             }
             if ev.rebuilds_ring() {
                 self.rebuild_ring(&m);
@@ -478,7 +405,7 @@ impl Cluster {
     /// private lock — no network, safe from solve-pool workers.
     pub fn queue_hint(&self, owner: String, key: String, report: JsonValue) {
         if self.handoff_capacity == 0 {
-            self.handoff_dropped.fetch_add(1, Ordering::Relaxed);
+            self.handoff_dropped.inc();
             return;
         }
         let mut hints = lock_ok(&self.hints);
@@ -489,10 +416,10 @@ impl Cluster {
         }
         if hints.len() >= self.handoff_capacity {
             hints.pop_front();
-            self.handoff_dropped.fetch_add(1, Ordering::Relaxed);
+            self.handoff_dropped.inc();
         }
         hints.push_back(Hint { owner, key, report });
-        self.handoff_queued.fetch_add(1, Ordering::Relaxed);
+        self.handoff_queued.inc();
     }
 
     /// Deliver queued hints whose owner is Alive (one pass; called from
@@ -516,7 +443,7 @@ impl Cluster {
             };
             let Some(addr) = addr else {
                 // The owner is no longer a known member at all.
-                self.handoff_dropped.fetch_add(1, Ordering::Relaxed);
+                self.handoff_dropped.inc();
                 continue;
             };
             if !alive {
@@ -538,11 +465,11 @@ impl Cluster {
             );
             match outcome {
                 Ok(resp) if resp.status == 200 => {
-                    self.handoff_delivered.fetch_add(1, Ordering::Relaxed);
+                    self.handoff_delivered.inc();
                     self.peer_success(&hint.owner);
                 }
                 Ok(_) => {
-                    self.handoff_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.handoff_dropped.inc();
                 }
                 Err(e) => {
                     if e.is_transport() {
@@ -618,26 +545,26 @@ impl Cluster {
         JsonValue::object(vec![
             ("node_id", self.node_id.as_str().into()),
             ("owned_keys_ratio", owned.into()),
-            ("hits_local", self.hits_local().into()),
-            ("hits_forwarded", self.hits_forwarded().into()),
-            ("forward_errors", self.forward_errors().into()),
+            ("hits_local", (&self.hits_local).into()),
+            ("hits_forwarded", (&self.hits_forwarded).into()),
+            ("forward_errors", (&self.forward_errors).into()),
             ("members_alive", self.members_alive().into()),
-            ("ring_rebuilds", self.ring_rebuilds().into()),
-            ("partitions_observed", self.partitions_observed().into()),
+            ("ring_rebuilds", (&self.ring_rebuilds).into()),
+            ("partitions_observed", (&self.partitions_observed).into()),
             (
                 "forward",
                 JsonValue::object(vec![
-                    ("retries", self.forward_retries().into()),
-                    ("replica_hits", self.replica_hits().into()),
-                    ("budget_exhausted", self.budget_exhausted().into()),
+                    ("retries", (&self.forward_retries).into()),
+                    ("replica_hits", (&self.replica_hits).into()),
+                    ("budget_exhausted", (&self.budget_exhausted).into()),
                 ]),
             ),
             (
                 "handoff",
                 JsonValue::object(vec![
-                    ("queued", self.handoff_queued().into()),
-                    ("delivered", self.handoff_delivered().into()),
-                    ("dropped", self.handoff_dropped().into()),
+                    ("queued", (&self.handoff_queued).into()),
+                    ("delivered", (&self.handoff_delivered).into()),
+                    ("dropped", (&self.handoff_dropped).into()),
                     ("pending", self.hints_pending().into()),
                 ]),
             ),
@@ -715,7 +642,7 @@ mod tests {
     #[test]
     fn death_and_rejoin_drive_ring_rebuilds() {
         let cl = Cluster::new(&three_node_cfg("a"));
-        assert_eq!(cl.ring_rebuilds(), 0, "initial build is free");
+        assert_eq!(cl.ring_rebuilds.get(), 0, "initial build is free");
         assert_eq!(cl.members_alive(), 3);
 
         // Walk b to Dead: suspect_after=2 misses suspect it (no
@@ -723,9 +650,9 @@ mod tests {
         for _ in 0..3 {
             cl.peer_failure("b");
         }
-        assert_eq!(cl.ring_rebuilds(), 0, "suspect does not rebuild");
+        assert_eq!(cl.ring_rebuilds.get(), 0, "suspect does not rebuild");
         cl.peer_failure("b");
-        assert_eq!(cl.ring_rebuilds(), 1);
+        assert_eq!(cl.ring_rebuilds.get(), 1);
         assert_eq!(cl.members_alive(), 2);
         // Every key b owned now lands on a or c.
         for i in 0..200 {
@@ -734,7 +661,7 @@ mod tests {
         }
 
         cl.peer_success("b");
-        assert_eq!(cl.ring_rebuilds(), 2, "rejoin rebuilds");
+        assert_eq!(cl.ring_rebuilds.get(), 2, "rejoin rebuilds");
         assert_eq!(cl.members_alive(), 3);
         let fresh = Cluster::new(&three_node_cfg("a"));
         for i in 0..200 {
@@ -770,7 +697,7 @@ mod tests {
             Some("127.0.0.1:9001".to_string()),
             "gossip refreshes a known peer's address to what it advertises"
         );
-        assert_eq!(b.ring_rebuilds(), 1, "learning d rebuilt b's ring");
+        assert_eq!(b.ring_rebuilds.get(), 1, "learning d rebuilt b's ring");
         // Both now agree on the 4-node assignment.
         let a_doc = json::parse(&json::encode(&a.members_doc())).unwrap();
         let names: Vec<&str> = a_doc
@@ -805,16 +732,16 @@ mod tests {
         )]);
         a.merge_members(&doc);
         assert_eq!(a.addr_of("zombie"), None);
-        assert_eq!(a.ring_rebuilds(), 0);
+        assert_eq!(a.ring_rebuilds.get(), 0);
     }
 
     #[test]
     fn metrics_doc_has_the_advertised_counters() {
         let cl = Cluster::new(&three_node_cfg("a"));
-        cl.record_hit_local();
-        cl.record_hit_forwarded();
-        cl.record_hit_forwarded();
-        cl.record_forward_error();
+        cl.hits_local.inc();
+        cl.hits_forwarded.inc();
+        cl.hits_forwarded.inc();
+        cl.forward_errors.inc();
         let doc = cl.metrics_doc();
         assert_eq!(doc.get("hits_local").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(doc.get("hits_forwarded").and_then(|v| v.as_u64()), Some(2));
@@ -836,9 +763,9 @@ mod tests {
         for _ in 0..4 {
             cl.peer_failure("b");
         }
-        assert_eq!(cl.ring_rebuilds(), 1, "death rebuilds once");
+        assert_eq!(cl.ring_rebuilds.get(), 1, "death rebuilds once");
         cl.peer_success("b");
-        assert_eq!(cl.ring_rebuilds(), 2, "rejoin rebuilds once");
+        assert_eq!(cl.ring_rebuilds.get(), 2, "rejoin rebuilds once");
         // Double fire: force the rebuild path again with unchanged
         // membership, as the second Rejoined observer would.
         {
@@ -847,25 +774,25 @@ mod tests {
             cl.rebuild_ring(&m);
         }
         assert_eq!(
-            cl.ring_rebuilds(),
+            cl.ring_rebuilds.get(),
             2,
             "idempotent: unchanged ring does not count"
         );
         // And a redundant success (probe + gossip in the same tick) is
         // silent too.
         cl.peer_success("b");
-        assert_eq!(cl.ring_rebuilds(), 2);
+        assert_eq!(cl.ring_rebuilds.get(), 2);
     }
 
     #[test]
     fn first_death_counts_one_partition_entry() {
         let cl = Cluster::new(&three_node_cfg("a"));
-        assert_eq!(cl.partitions_observed(), 0);
+        assert_eq!(cl.partitions_observed.get(), 0);
         for _ in 0..4 {
             cl.peer_failure("b");
         }
         assert_eq!(
-            cl.partitions_observed(),
+            cl.partitions_observed.get(),
             1,
             "entering the partitioned regime"
         );
@@ -873,7 +800,7 @@ mod tests {
             cl.peer_failure("c");
         }
         assert_eq!(
-            cl.partitions_observed(),
+            cl.partitions_observed.get(),
             1,
             "a second death inside the same regime does not re-count"
         );
@@ -882,7 +809,11 @@ mod tests {
         for _ in 0..4 {
             cl.peer_failure("c");
         }
-        assert_eq!(cl.partitions_observed(), 2, "a fresh regime counts again");
+        assert_eq!(
+            cl.partitions_observed.get(),
+            2,
+            "a fresh regime counts again"
+        );
     }
 
     #[test]
@@ -924,7 +855,7 @@ mod tests {
         let cl = Cluster::new(&cfg);
         cl.queue_hint("b".into(), "k1".into(), JsonValue::object(vec![]));
         cl.queue_hint("b".into(), "k2".into(), JsonValue::object(vec![]));
-        assert_eq!(cl.handoff_queued(), 2);
+        assert_eq!(cl.handoff_queued.get(), 2);
         assert_eq!(cl.hints_pending(), 2);
 
         // Same key again: replaced in place, not recounted.
@@ -933,13 +864,13 @@ mod tests {
             "k2".into(),
             JsonValue::object(vec![("x", 1u64.into())]),
         );
-        assert_eq!(cl.handoff_queued(), 2);
+        assert_eq!(cl.handoff_queued.get(), 2);
         assert_eq!(cl.hints_pending(), 2);
 
         // Capacity overflow: oldest dropped and counted.
         cl.queue_hint("c".into(), "k3".into(), JsonValue::object(vec![]));
-        assert_eq!(cl.handoff_queued(), 3);
-        assert_eq!(cl.handoff_dropped(), 1);
+        assert_eq!(cl.handoff_queued.get(), 3);
+        assert_eq!(cl.handoff_dropped.get(), 1);
         assert_eq!(cl.hints_pending(), 2);
     }
 
@@ -952,13 +883,13 @@ mod tests {
         cl.queue_hint("b".into(), "k1".into(), JsonValue::object(vec![]));
         cl.drain_hints();
         assert_eq!(cl.hints_pending(), 1, "dead owner: hint waits");
-        assert_eq!(cl.handoff_delivered(), 0);
-        assert_eq!(cl.handoff_dropped(), 0);
+        assert_eq!(cl.handoff_delivered.get(), 0);
+        assert_eq!(cl.handoff_dropped.get(), 0);
 
         // An owner that vanished from membership entirely drops the hint.
         cl.queue_hint("ghost".into(), "k2".into(), JsonValue::object(vec![]));
         cl.drain_hints();
-        assert_eq!(cl.handoff_dropped(), 1);
+        assert_eq!(cl.handoff_dropped.get(), 1);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //! index)` so a partition scenario replays bit-for-bit. The production
 //! path carries `None` and costs nothing.
 
+use lt_core::json::JsonValue;
 use lt_desim::SimRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::metrics::Counter;
 use crate::sync::lock_ok;
 
 /// Probabilities and magnitudes of the injectable faults. All
@@ -94,12 +96,19 @@ pub struct FaultDecision {
 #[derive(Debug)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    requests: AtomicU64,
-    injected_latency: AtomicU64,
-    injected_worker_panics: AtomicU64,
-    injected_no_convergence: AtomicU64,
-    injected_cache_corruptions: AtomicU64,
-    injected_conn_drops: AtomicU64,
+    /// Requests that have drawn a decision: the next request's index in
+    /// the decision stream, and the `requests_seen` metric.
+    requests_seen: AtomicU64,
+    /// Pre-dispatch delays injected.
+    pub injected_latency: Counter,
+    /// Pool jobs detonated.
+    pub injected_worker_panics: Counter,
+    /// Primary solvers forced to fail.
+    pub injected_no_convergence: Counter,
+    /// Cache keys mangled.
+    pub injected_cache_corruptions: Counter,
+    /// Connections dropped unanswered.
+    pub injected_conn_drops: Counter,
 }
 
 impl FaultPlan {
@@ -107,19 +116,19 @@ impl FaultPlan {
     pub fn new(spec: FaultSpec) -> Self {
         FaultPlan {
             spec,
-            requests: AtomicU64::new(0),
-            injected_latency: AtomicU64::new(0),
-            injected_worker_panics: AtomicU64::new(0),
-            injected_no_convergence: AtomicU64::new(0),
-            injected_cache_corruptions: AtomicU64::new(0),
-            injected_conn_drops: AtomicU64::new(0),
+            requests_seen: AtomicU64::new(0),
+            injected_latency: Counter::default(),
+            injected_worker_panics: Counter::default(),
+            injected_no_convergence: Counter::default(),
+            injected_cache_corruptions: Counter::default(),
+            injected_conn_drops: Counter::default(),
         }
     }
 
     /// Draw the decision for the next request. The draw is a pure
     /// function of `(spec.seed, admission index)`.
     pub fn next(&self) -> FaultDecision {
-        let index = self.requests.fetch_add(1, Ordering::Relaxed);
+        let index = self.requests_seen.fetch_add(1, Ordering::Relaxed);
         if self.spec.window.is_some_and(|w| index >= w) {
             return FaultDecision::default();
         }
@@ -133,41 +142,42 @@ impl FaultPlan {
             cache_corrupt: rng.bernoulli(self.spec.cache_corrupt_prob),
             conn_drop: rng.bernoulli(self.spec.conn_drop_prob),
         };
-        if decision.latency.is_some() {
-            self.injected_latency.fetch_add(1, Ordering::Relaxed);
-        }
-        if decision.worker_panic {
-            self.injected_worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        if decision.no_convergence {
-            self.injected_no_convergence.fetch_add(1, Ordering::Relaxed);
-        }
-        if decision.cache_corrupt {
-            self.injected_cache_corruptions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if decision.conn_drop {
-            self.injected_conn_drops.fetch_add(1, Ordering::Relaxed);
+        for (fired, counter) in [
+            (decision.latency.is_some(), &self.injected_latency),
+            (decision.worker_panic, &self.injected_worker_panics),
+            (decision.no_convergence, &self.injected_no_convergence),
+            (decision.cache_corrupt, &self.injected_cache_corruptions),
+            (decision.conn_drop, &self.injected_conn_drops),
+        ] {
+            if fired {
+                counter.inc();
+            }
         }
         decision
     }
 
-    /// Requests that have drawn a decision so far.
-    pub fn requests_seen(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Counters of fired faults, in taxonomy order: latency, worker
-    /// panics, forced non-convergence, cache corruptions, connection
-    /// drops.
-    pub fn injected(&self) -> [u64; 5] {
-        [
-            self.injected_latency.load(Ordering::Relaxed),
-            self.injected_worker_panics.load(Ordering::Relaxed),
-            self.injected_no_convergence.load(Ordering::Relaxed),
-            self.injected_cache_corruptions.load(Ordering::Relaxed),
-            self.injected_conn_drops.load(Ordering::Relaxed),
-        ]
+    /// The `fault_injection` object of the `/metrics` document.
+    pub fn metrics_doc(&self) -> JsonValue {
+        JsonValue::object(vec![
+            (
+                "requests_seen",
+                self.requests_seen.load(Ordering::Relaxed).into(),
+            ),
+            ("injected_latency", (&self.injected_latency).into()),
+            (
+                "injected_worker_panics",
+                (&self.injected_worker_panics).into(),
+            ),
+            (
+                "injected_no_convergence",
+                (&self.injected_no_convergence).into(),
+            ),
+            (
+                "injected_cache_corruptions",
+                (&self.injected_cache_corruptions).into(),
+            ),
+            ("injected_conn_drops", (&self.injected_conn_drops).into()),
+        ])
     }
 }
 
@@ -292,10 +302,14 @@ pub struct ChaosNet {
     partition: Mutex<Option<Partition>>,
     /// Messages attempted per directed link, keyed by link index.
     link_messages: Mutex<BTreeMap<u64, u64>>,
-    dropped: AtomicU64,
-    delayed: AtomicU64,
-    duplicated: AtomicU64,
-    severed: AtomicU64,
+    /// Messages lost to a probabilistic drop.
+    pub(crate) dropped: Counter,
+    /// Messages delayed before sending.
+    pub(crate) delayed: Counter,
+    /// Messages sent twice.
+    pub(crate) duplicated: Counter,
+    /// Messages (or responses) severed by a partition.
+    pub(crate) severed: Counter,
 }
 
 impl ChaosNet {
@@ -339,7 +353,7 @@ impl ChaosNet {
             .as_ref()
             .is_some_and(|p| p.severs(dst, src));
         if severed {
-            self.severed.fetch_add(1, Ordering::Relaxed);
+            self.severed.inc();
         }
         severed
     }
@@ -350,7 +364,7 @@ impl ChaosNet {
             .as_ref()
             .is_some_and(|p| p.severs(src, dst))
         {
-            self.severed.fetch_add(1, Ordering::Relaxed);
+            self.severed.inc();
             return LinkDecision::Drop;
         }
         let link = Self::link_index(src, dst);
@@ -368,28 +382,28 @@ impl ChaosNet {
         let delay = rng.bernoulli(self.spec.delay_prob);
         let duplicate = rng.bernoulli(self.spec.duplicate_prob);
         if drop {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.inc();
             LinkDecision::Drop
         } else if delay {
-            self.delayed.fetch_add(1, Ordering::Relaxed);
+            self.delayed.inc();
             LinkDecision::Delay(self.spec.delay)
         } else if duplicate {
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
+            self.duplicated.inc();
             LinkDecision::Duplicate
         } else {
             LinkDecision::Deliver
         }
     }
 
-    /// Counters of fired link faults: dropped, delayed, duplicated,
-    /// severed-by-partition.
-    pub fn injected(&self) -> [u64; 4] {
-        [
-            self.dropped.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-            self.duplicated.load(Ordering::Relaxed),
-            self.severed.load(Ordering::Relaxed),
-        ]
+    /// The `link_faults` object of the `/metrics` document.
+    pub fn metrics_doc(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("dropped", (&self.dropped).into()),
+            ("delayed", (&self.delayed).into()),
+            ("duplicated", (&self.duplicated).into()),
+            ("severed", (&self.severed).into()),
+            ("partitioned", self.partition().is_some().into()),
+        ])
     }
 }
 
@@ -427,8 +441,8 @@ mod tests {
         });
         let fired: Vec<bool> = (0..6).map(|_| plan.next().conn_drop).collect();
         assert_eq!(fired, [true, true, true, false, false, false]);
-        assert_eq!(plan.injected()[4], 3);
-        assert_eq!(plan.requests_seen(), 6);
+        assert_eq!(plan.injected_conn_drops.get(), 3);
+        assert_eq!(plan.requests_seen.load(Ordering::Relaxed), 6);
     }
 
     #[test]
@@ -437,7 +451,17 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(plan.next(), FaultDecision::default());
         }
-        assert_eq!(plan.injected(), [0; 5]);
+        let doc = plan.metrics_doc();
+        assert_eq!(doc.get("requests_seen").and_then(|v| v.as_u64()), Some(32));
+        for key in [
+            "injected_latency",
+            "injected_worker_panics",
+            "injected_no_convergence",
+            "injected_cache_corruptions",
+            "injected_conn_drops",
+        ] {
+            assert_eq!(doc.get(key).and_then(|v| v.as_u64()), Some(0), "{key}");
+        }
     }
 
     #[test]
@@ -489,7 +513,7 @@ mod tests {
         );
         net.set_partition(None);
         assert_eq!(net.decide("alpha", "gamma"), LinkDecision::Deliver);
-        assert_eq!(net.injected()[3], 2, "two severed messages counted");
+        assert_eq!(net.severed.get(), 2, "two severed messages counted");
     }
 
     #[test]

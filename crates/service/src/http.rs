@@ -106,8 +106,7 @@ fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ReadError> {
 }
 
 /// Parse a request line (`GET /path HTTP/1.1`) into a body-less
-/// [`Request`]. Shared by the blocking reader and the incremental
-/// parser so both reject malformed heads with identical statuses.
+/// [`Request`].
 fn parse_request_line(request_line: &str) -> Result<Request, ReadError> {
     let mut parts = request_line.split_whitespace();
     let method = parts
@@ -174,38 +173,6 @@ fn body_length(req: &Request, max_body: usize) -> Result<usize, ReadError> {
     Ok(content_length)
 }
 
-/// Read and parse one request from the stream. `max_body` caps the
-/// accepted `Content-Length`.
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, ReadError> {
-    let request_line = match read_line(reader)? {
-        None => return Err(ReadError::Closed),
-        Some(l) if l.is_empty() => return Err(bad(400, "empty request line")),
-        Some(l) => l,
-    };
-    let mut req = parse_request_line(&request_line)?;
-    loop {
-        let line = read_line(reader)?.ok_or_else(|| bad(400, "truncated headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        push_header(&mut req, &line)?;
-    }
-
-    let content_length = body_length(&req, max_body)?;
-    if content_length > 0 {
-        let mut body = vec![0u8; content_length];
-        io::Read::read_exact(reader, &mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                bad(400, "body shorter than Content-Length")
-            } else {
-                ReadError::Io(e)
-            }
-        })?;
-        req.body = body;
-    }
-    Ok(req)
-}
-
 /// Outcome of [`RequestParser::poll`].
 #[derive(Debug)]
 pub enum ParseStatus {
@@ -229,8 +196,8 @@ pub enum ParseStatus {
 /// The reactor feeds whatever bytes a readiness poll produced and polls
 /// for a complete request; partial heads and bodies persist across
 /// calls, so a request may arrive one byte at a time without holding a
-/// thread. Enforces the same limits as [`read_request`] — [`MAX_LINE`]
-/// per header line and [`MAX_HEADERS`] per head (both checked
+/// thread. Enforces [`MAX_LINE`] per header line and [`MAX_HEADERS`]
+/// per head (both checked
 /// incrementally, so a slow-loris stream of overlong lines or endless
 /// short header lines is rejected as soon as the limit is crossed, not
 /// when the head completes), and the `max_body` cap (checked at head
@@ -340,10 +307,10 @@ impl RequestParser {
                     self.scanned += 1;
                     self.line_start = self.scanned;
                     // Bound the header count as lines complete (the
-                    // request line is head_lines == 1), mirroring the
-                    // blocking reader's rejection of the 65th header —
-                    // an endless stream of short header lines must not
-                    // buffer until some outer timeout fires.
+                    // request line is head_lines == 1), rejecting the
+                    // 65th header as it arrives — an endless stream of
+                    // short header lines must not buffer until some
+                    // outer timeout fires.
                     self.head_lines += 1;
                     if self.head_lines > MAX_HEADERS + 1 {
                         return Err(bad(431, "too many headers"));
@@ -580,13 +547,23 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+    /// Feed `raw` to a fresh parser in one piece and poll once.
+    fn parse(raw: &str) -> ParseStatus {
+        let mut parser = RequestParser::new(1024);
+        parser.feed(raw.as_bytes());
+        parser.poll()
+    }
+
+    fn ready(raw: &str) -> Request {
+        match parse(raw) {
+            ParseStatus::Ready(req) => req,
+            other => panic!("expected a request from {raw:?}, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_get_request() {
-        let req = parse("GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let req = ready("GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz", "query string stripped");
         assert_eq!(req.header("host"), Some("x"));
@@ -596,35 +573,41 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let req = parse(
+        let req = ready(
             "POST /v1/solve HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
-        )
-        .unwrap();
+        );
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"{\"a\":1}");
     }
 
     #[test]
     fn connection_close_is_honored() {
-        let req = parse("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n").unwrap();
+        let req = ready("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n");
         assert!(!req.keep_alive());
     }
 
     #[test]
     fn lf_only_line_endings_accepted() {
-        let req = parse("GET /metrics HTTP/1.1\nHost: y\n\n").unwrap();
+        let req = ready("GET /metrics HTTP/1.1\nHost: y\n\n");
         assert_eq!(req.path, "/metrics");
+        assert_eq!(req.header("host"), Some("y"));
     }
 
     #[test]
-    fn eof_before_request_is_clean_close() {
-        assert!(matches!(parse(""), Err(ReadError::Closed)));
+    fn empty_stream_is_a_clean_close() {
+        let mut parser = RequestParser::new(1024);
+        assert!(matches!(parser.poll(), ParseStatus::Pending));
+        assert!(
+            !parser.mid_request(),
+            "no bytes: the reactor closes silently"
+        );
     }
 
     #[test]
     fn rejects_malformed_requests() {
         for (raw, want_status) in [
             ("GARBAGE\r\n\r\n", 400),
+            ("\r\n", 400),
             ("GET /x SPDY/3\r\n\r\n", 400),
             ("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
             ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
@@ -633,22 +616,35 @@ mod tests {
                 "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                 411,
             ),
-            ("POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", 400),
         ] {
-            match parse(raw) {
-                Err(ReadError::Bad { status, .. }) => {
+            let mut parser = RequestParser::new(1024);
+            parser.feed(raw.as_bytes());
+            match parser.poll() {
+                ParseStatus::Bad { status, .. } => {
                     assert_eq!(status, want_status, "for {raw:?}")
                 }
                 other => panic!("expected Bad for {raw:?}, got {other:?}"),
             }
+            // Terminal: the same verdict replays on later polls.
+            assert!(matches!(parser.poll(), ParseStatus::Bad { .. }));
         }
+    }
+
+    #[test]
+    fn truncated_body_stays_mid_request() {
+        // Two of five body bytes: still pending, and mid-request, so a
+        // peer that closes here is answered 400 by the reactor.
+        let mut parser = RequestParser::new(1024);
+        parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab");
+        assert!(matches!(parser.poll(), ParseStatus::Pending));
+        assert!(parser.mid_request());
     }
 
     #[test]
     fn rejects_oversized_header_line() {
         let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 10));
         match parse(&raw) {
-            Err(ReadError::Bad { status, .. }) => assert_eq!(status, 431),
+            ParseStatus::Bad { status, .. } => assert_eq!(status, 431),
             other => panic!("expected 431, got {other:?}"),
         }
     }
@@ -712,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_reader_byte_at_a_time() {
+    fn parses_a_request_fed_one_byte_at_a_time() {
         let raw = "POST /v1/solve HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
         let mut parser = RequestParser::new(1024);
         for (i, b) in raw.as_bytes().iter().enumerate() {
@@ -756,33 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_rejects_like_the_blocking_reader() {
-        for (raw, want_status) in [
-            ("GARBAGE\r\n\r\n", 400),
-            ("\r\n", 400),
-            ("GET /x SPDY/3\r\n\r\n", 400),
-            ("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
-            ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
-            ("POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 413),
-            (
-                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                411,
-            ),
-        ] {
-            let mut parser = RequestParser::new(1024);
-            parser.feed(raw.as_bytes());
-            match parser.poll() {
-                ParseStatus::Bad { status, .. } => {
-                    assert_eq!(status, want_status, "for {raw:?}")
-                }
-                other => panic!("expected Bad for {raw:?}, got {other:?}"),
-            }
-            // Terminal: the same verdict replays on later polls.
-            assert!(matches!(parser.poll(), ParseStatus::Bad { .. }));
-        }
-    }
-
-    #[test]
     fn incremental_parser_bounds_header_lines_before_they_complete() {
         let mut parser = RequestParser::new(1024);
         parser.feed(b"GET /");
@@ -806,8 +775,8 @@ mod tests {
         let mut parser = RequestParser::new(1024);
         parser.feed(b"GET /x HTTP/1.1\r\n");
         // Stream endless short header lines, never a blank terminator:
-        // rejection must come at the 65th header line, exactly where the
-        // blocking reader rejects, not at some outer timeout.
+        // rejection must come at the 65th header line, not at some outer
+        // timeout.
         let mut rejected_at = None;
         for i in 0..MAX_HEADERS + 8 {
             parser.feed(format!("X-H{i}: v\r\n").as_bytes());
@@ -861,13 +830,15 @@ mod tests {
 
     #[test]
     fn two_requests_on_one_connection() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/a");
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/b");
-        assert!(matches!(
-            read_request(&mut reader, 1024),
-            Err(ReadError::Closed)
-        ));
+        let mut parser = RequestParser::new(1024);
+        parser.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+        for want in ["/a", "/b"] {
+            match parser.poll() {
+                ParseStatus::Ready(req) => assert_eq!(req.path, want),
+                other => panic!("expected {want}, got {other:?}"),
+            }
+        }
+        assert!(matches!(parser.poll(), ParseStatus::Pending));
+        assert!(!parser.mid_request(), "the stream ends cleanly after /b");
     }
 }

@@ -16,11 +16,12 @@
 //! * [`pool`] — the **execution layer**: a fixed worker pool over an MPMC
 //!   channel, a dynamic self-scheduling batch primitive for sweeps with
 //!   skewed per-item costs, per-request deadlines, graceful drain.
-//! * [`metrics`] — **observability**: per-endpoint request/error counters,
-//!   error counts by kind, latency tails (p50/p95/p99) built from the
-//!   simulation crate's mergeable `Tally` and P² estimators, and the
-//!   resilience counters (shed requests, breaker transitions, retries,
-//!   responses by fidelity), served at `GET /metrics`.
+//! * [`metrics`] — **observability**: one mechanism for every number
+//!   served at `GET /metrics` — declared `Counter` fields on each
+//!   component (per-endpoint requests/errors, errors by kind, resilience,
+//!   cache, pool, cluster and fault counters), a gauge per reactor
+//!   connection phase, and a lock-free log-bucketed latency histogram
+//!   (exact count/sum/max, p50/p95/p99 within 1%, O(buckets) to scrape).
 //! * [`breaker`] — per-solver-tier **circuit breakers**: a tier that
 //!   keeps failing skips its primary solver and answers from the
 //!   degradation ladder until a half-open probe proves it recovered.
@@ -95,7 +96,7 @@ pub mod workspace;
 
 pub use api::ApiError;
 pub use breaker::{BreakerDecision, BreakerState, CircuitBreaker};
-pub use cache::{CacheStats, SolveCache};
+pub use cache::SolveCache;
 pub use cluster::{Cluster, ClusterConfig};
 pub use fault::{
     ChaosNet, FaultDecision, FaultPlan, FaultSpec, LinkDecision, LinkFaultSpec, Partition,

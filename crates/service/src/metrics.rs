@@ -1,37 +1,45 @@
-//! Service observability: request/error counters per endpoint, error
-//! counts by kind, and latency histograms (mean + p50/p95/p99) built on
-//! the simulation crate's mergeable statistics.
+//! Service observability: one mechanism for every number `latencyd`
+//! serves at `GET /metrics`.
 //!
-//! The latency path is designed for concurrent handlers: each connection
-//! thread records into one of a fixed set of shards (assigned round-robin
-//! at first use, held in a thread-local), so the hot path takes an
-//! uncontended-in-expectation mutex. A `/metrics` scrape merges the
-//! shards into one view using `Tally::merge` (exact) and
-//! `P2Quantile::merge` (approximate, error on the order of P² itself).
+//! * [`Counter`] — a monotone event count (relaxed `inc`/`add`/`get` over
+//!   an `AtomicU64`). Every service counter is a *declared field* of this
+//!   type on the component that owns the event — [`ServiceMetrics`],
+//!   [`crate::cluster::Cluster`], [`crate::fault::FaultPlan`],
+//!   [`crate::fault::ChaosNet`], [`crate::pool::WorkerPool`],
+//!   [`crate::pool::HandlerPool`], [`crate::cache::SolveCache`] and
+//!   [`crate::workspace::WorkspacePool`] — and each component renders its
+//!   own `/metrics` section from its fields in one function. There are no
+//!   per-counter `record_x`/`x` method pairs: the field is the API.
+//! * [`Gauge`] — a level that moves both ways; the reactor's
+//!   connection-phase census (`reactor.conn.*`) is one gauge per
+//!   [`ConnPhase`].
+//! * `Histogram` — the request-latency distribution, log-bucketed in
+//!   HDR style: 128 linear sub-buckets per power of two of nanoseconds,
+//!   so a bucket is at most 1/128 (0.78%) of the values it holds, from
+//!   512 ns up to 2^36 ns (about 69 s); values outside clamp into the
+//!   edge buckets. Recording takes no lock (one relaxed `fetch_add` on a
+//!   bucket, one on the nanosecond sum, and a `fetch_max` only when a new
+//!   maximum arrives). Count, sum and max are exact; `p50`/`p95`/`p99`
+//!   are the nearest-rank order statistics rounded to the middle of
+//!   their bucket (and capped at the exact max), so each lies within one
+//!   bucket width — under 1% — of the true order statistic. A scrape
+//!   reads the fixed bucket array, so it costs the same after one sample
+//!   or after a billion, and two histograms merge exactly by adding
+//!   bucket counts and sums and taking the larger max.
 //!
-//! Cluster mode adds a `cluster` object to the scrape (built by
-//! [`crate::cluster::Cluster::metrics_doc`], not here): routing counters
-//! (`hits_local` / `hits_forwarded` / `forward_errors`), membership and
-//! ring state (`members_alive`, `ring_rebuilds`, `partitions_observed`),
-//! the deadline-budget forwarding counters (`forward.retries`,
-//! `forward.replica_hits`, `forward.budget_exhausted`), and the hinted
-//! handoff lifecycle (`handoff.queued` / `delivered` / `dropped` /
-//! `pending`). When a [`crate::fault::ChaosNet`] is installed, a
-//! `link_faults` object reports what the chaos model actually injected.
+//! The `/metrics` document keeps one key set, nesting and order (pinned
+//! by a golden leaf-path test): `endpoints`, `errors_by_kind`, `latency`
+//! and `resilience` from [`ServiceMetrics::to_json`], then the server's
+//! `cache`, `pool`, `breakers`, `solver` and `reactor` sections, then
+//! `fault_injection` when a fault plan is installed, and `cluster` plus
+//! `link_faults` in cluster mode with a chaos model.
 
-use crate::sync::lock_ok;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::breaker::BreakerState;
 use lt_core::json::JsonValue;
 use lt_core::Fidelity;
-use lt_desim::{P2Quantile, Tally};
-
-/// Latency shards; more than any sane worker count so scrape merges stay
-/// cheap while contention stays near zero.
-const LATENCY_SHARDS: usize = 16;
 
 /// The endpoints latencyd serves, in display order (`cluster` covers
 /// `/v1/cluster/ping`, `/v1/cluster/members`, and `/v1/cluster/hint`).
@@ -63,47 +71,156 @@ pub const ERROR_KINDS: [&str; 12] = [
     "internal",
 ];
 
-/// One endpoint's counters.
-#[derive(Default)]
-struct EndpointCounters {
-    requests: AtomicU64,
-    errors: AtomicU64,
+/// A monotone event counter. Relaxed ordering throughout: a counter
+/// orders nothing, it only has to add up exactly.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Count one event.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `n` events.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Events counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-/// One latency shard: a tally for mean/extremes plus three P² tails.
-struct LatencyShard {
-    tally: Tally,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+impl From<&Counter> for JsonValue {
+    fn from(c: &Counter) -> JsonValue {
+        c.get().into()
+    }
 }
 
-impl LatencyShard {
-    fn new() -> Self {
-        LatencyShard {
-            tally: Tally::new(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+/// A level that rises and falls (connections in a phase).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicUsize);
+
+impl Gauge {
+    /// Raise the level by one.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lower the level by one.
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The current level.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl From<&Gauge> for JsonValue {
+    fn from(g: &Gauge) -> JsonValue {
+        g.get().into()
+    }
+}
+
+/// Linear sub-buckets per power of two (`2^SUB_BITS`): a bucket spans at
+/// most `1/2^SUB_BITS` of its values.
+const SUB_BITS: u32 = 7;
+const SUB: usize = 1 << SUB_BITS;
+/// The first bucket starts at `2^LOW_EXP` ns; smaller values clamp into it.
+const LOW_EXP: u32 = 9;
+/// Values of `2^HIGH_EXP` ns and more clamp into the last bucket.
+const HIGH_EXP: u32 = 36;
+/// Buckets in a [`Histogram`].
+const BUCKETS: usize = (HIGH_EXP - LOW_EXP) as usize * SUB;
+
+/// The bucket holding `ns` (clamped into the tracked range).
+fn bucket_of(ns: u64) -> usize {
+    let v = ns.clamp(1 << LOW_EXP, (1 << HIGH_EXP) - 1);
+    let exp = 63 - v.leading_zeros();
+    let sub = (v >> (exp - SUB_BITS)) as usize - SUB;
+    (exp - LOW_EXP) as usize * SUB + sub
+}
+
+/// `(lower bound, width)` of bucket `i`, in ns.
+fn bucket_bounds(i: usize) -> (u64, u64) {
+    let shift = LOW_EXP + (i / SUB) as u32 - SUB_BITS;
+    (((SUB + i % SUB) as u64) << shift, 1 << shift)
+}
+
+/// A lock-free, fixed-size, log-bucketed latency histogram (see the
+/// module docs for its resolution and what its quantiles mean).
+pub(crate) struct Histogram {
+    buckets: Box<[AtomicU64]>,
+    sum_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            sum_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Histogram {
+    /// Record one observation.
+    pub fn record(&self, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
         }
     }
 
-    fn record(&mut self, millis: f64) {
-        self.tally.record(millis);
-        self.p50.record(millis);
-        self.p95.record(millis);
-        self.p99.record(millis);
-    }
-
-    fn merge(&mut self, other: &LatencyShard) {
-        self.tally.merge(&other.tally);
-        self.p50.merge(&other.p50);
-        self.p95.merge(&other.p95);
-        self.p99.merge(&other.p99);
+    /// Count, mean, max and p50/p95/p99 of everything recorded, in ms.
+    /// Reads each bucket once; samples recorded concurrently may or may
+    /// not be included.
+    pub fn summary(&self) -> LatencySummary {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
+            return LatencySummary::EMPTY;
+        }
+        let max_ns = self.max_ns.load(Ordering::Relaxed);
+        let ms = |ns: u64| ns as f64 / 1e6;
+        // Nearest rank: the smallest value with at least ceil(q·count)
+        // samples at or below it, reported as its bucket's midpoint.
+        let quantile = |q: f64| {
+            let rank = ((q * count as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (i, c) in counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    let (lo, width) = bucket_bounds(i);
+                    return ms((lo + width / 2).min(max_ns));
+                }
+            }
+            ms(max_ns)
+        };
+        LatencySummary {
+            count,
+            mean_ms: ms(self.sum_ns.load(Ordering::Relaxed)) / count as f64,
+            max_ms: ms(max_ns),
+            p50_ms: quantile(0.50),
+            p95_ms: quantile(0.95),
+            p99_ms: quantile(0.99),
+        }
     }
 }
 
-/// Merged latency view returned by [`ServiceMetrics::latency_summary`].
+/// Latency view returned by [`ServiceMetrics::latency_summary`].
 #[derive(Debug, Clone, Copy)]
 pub struct LatencySummary {
     /// Observations recorded.
@@ -112,11 +229,11 @@ pub struct LatencySummary {
     pub mean_ms: f64,
     /// Largest observed latency in milliseconds.
     pub max_ms: f64,
-    /// Median estimate (ms).
+    /// Median (ms), within one histogram bucket.
     pub p50_ms: f64,
-    /// 95th-percentile estimate (ms).
+    /// 95th percentile (ms), within one histogram bucket.
     pub p95_ms: f64,
-    /// 99th-percentile estimate (ms).
+    /// 99th percentile (ms), within one histogram bucket.
     pub p99_ms: f64,
 }
 
@@ -132,35 +249,13 @@ impl LatencySummary {
     };
 }
 
-/// All service counters; shared behind an `Arc` by every handler thread.
-pub struct ServiceMetrics {
-    endpoints: [EndpointCounters; ENDPOINTS.len()],
-    error_kinds: [AtomicU64; ERROR_KINDS.len()],
-    latency: [Mutex<LatencyShard>; LATENCY_SHARDS],
-    /// Bumped after each recorded sample; versions the merged digest.
-    latency_generation: AtomicU64,
-    /// `(generation, summary)` of the last merge; a scrape at the same
-    /// generation reuses it instead of re-merging all shards.
-    latency_cache: Mutex<(u64, LatencySummary)>,
-    /// Full shard merges performed (scrape-cost diagnostic; pinned by a
-    /// unit test so merge-on-every-scrape cannot quietly come back).
-    latency_merges: AtomicU64,
-    next_shard: AtomicUsize,
-    /// Requests shed by admission control (answered `429`).
-    shed: AtomicU64,
-    /// Worker-lost retries attempted.
-    retries: AtomicU64,
-    /// Breaker transitions *into* [closed, open, half_open].
-    breaker_transitions: [AtomicU64; 3],
-    /// Successful responses by fidelity, indexed in `Fidelity::ALL` order.
-    responses_by_fidelity: [AtomicU64; Fidelity::ALL.len()],
-    /// Solves that started from a usable warm-start seed.
-    warm_hits: AtomicU64,
-    /// Solves that started cold (fresh seed, shape mismatch, or a warm
-    /// attempt retried cold).
-    cold_solves: AtomicU64,
-    /// Connection-reactor gauges and counters.
-    reactor: ReactorStats,
+/// One endpoint's counters.
+#[derive(Debug, Default)]
+pub struct EndpointCounters {
+    /// Requests routed to the endpoint.
+    pub requests: Counter,
+    /// Requests to the endpoint answered with an error.
+    pub errors: Counter,
 }
 
 /// Which stage of its lifecycle a reactor-owned connection is in; each
@@ -195,365 +290,178 @@ impl ConnPhase {
             ConnPhase::Writing => "writing",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            ConnPhase::Idle => 0,
-            ConnPhase::Reading => 1,
-            ConnPhase::Dispatched => 2,
-            ConnPhase::Writing => 3,
-        }
-    }
 }
 
-/// Gauges and counters owned by the connection reactor: how many
-/// sockets sit in each lifecycle phase, how often `accept` failed, and
-/// how many times a reactor thread was woken through its message
-/// channel (registrations + completed dispatches).
+/// Request, error, latency, resilience and reactor metrics; shared
+/// behind the server state by every reactor and handler thread.
 #[derive(Default)]
-struct ReactorStats {
-    conn_phases: [AtomicUsize; ConnPhase::ALL.len()],
-    accept_errors: AtomicU64,
-    wakeups: AtomicU64,
-}
-
-thread_local! {
-    /// The latency shard this thread records into (assigned on first use).
-    static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+pub struct ServiceMetrics {
+    endpoints: [EndpointCounters; ENDPOINTS.len()],
+    error_kinds: [Counter; ERROR_KINDS.len()],
+    latency: Histogram,
+    /// Requests shed by admission control (answered `429`).
+    pub(crate) shed: Counter,
+    /// Worker-lost retries attempted.
+    pub retries: Counter,
+    /// Breaker transitions into closed, open, half-open.
+    breaker_transitions: [Counter; 3],
+    /// Successful responses, in `Fidelity::ALL` order.
+    responses_by_fidelity: [Counter; Fidelity::ALL.len()],
+    /// Reactor connections per phase, in `ConnPhase::ALL` order.
+    conns: [Gauge; ConnPhase::ALL.len()],
+    /// Failed accepts (listener errors, sockets that could not be
+    /// registered or were refused).
+    pub(crate) accept_errors: Counter,
+    /// Reactor wakeups delivered through the message channel
+    /// (registrations and completed dispatches).
+    pub(crate) reactor_wakeups: Counter,
 }
 
 impl ServiceMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
-        ServiceMetrics {
-            endpoints: std::array::from_fn(|_| EndpointCounters::default()),
-            error_kinds: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency: std::array::from_fn(|_| Mutex::new(LatencyShard::new())),
-            latency_generation: AtomicU64::new(0),
-            latency_cache: Mutex::new((0, LatencySummary::EMPTY)),
-            latency_merges: AtomicU64::new(0),
-            next_shard: AtomicUsize::new(0),
-            shed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            breaker_transitions: std::array::from_fn(|_| AtomicU64::new(0)),
-            responses_by_fidelity: std::array::from_fn(|_| AtomicU64::new(0)),
-            warm_hits: AtomicU64::new(0),
-            cold_solves: AtomicU64::new(0),
-            reactor: ReactorStats::default(),
-        }
+        Self::default()
     }
 
-    /// Move a connection between lifecycle gauges. `None` means the
-    /// connection is entering (accepted) or leaving (closed) the
-    /// reactor entirely.
-    pub fn conn_transition(&self, from: Option<ConnPhase>, to: Option<ConnPhase>) {
-        if let Some(p) = from {
-            self.reactor.conn_phases[p.index()].fetch_sub(1, Ordering::Relaxed);
+    /// The counters of `name` (an [`ENDPOINTS`] label); `None` for any
+    /// other name.
+    pub fn endpoint(&self, name: &str) -> Option<&EndpointCounters> {
+        let i = ENDPOINTS.iter().position(|e| *e == name)?;
+        Some(&self.endpoints[i])
+    }
+
+    /// The counter of error kind `kind`; unknown kinds fold into
+    /// `internal` so nothing is silently dropped.
+    pub fn error_kind(&self, kind: &str) -> &Counter {
+        let i = ERROR_KINDS
+            .iter()
+            .position(|e| *e == kind)
+            .unwrap_or(ERROR_KINDS.len() - 1);
+        &self.error_kinds[i]
+    }
+
+    /// Count one error under `kind`, and on `endpoint` when it is one.
+    pub fn record_error(&self, endpoint: &str, kind: &str) {
+        if let Some(e) = self.endpoint(endpoint) {
+            e.errors.inc();
         }
-        if let Some(p) = to {
-            self.reactor.conn_phases[p.index()].fetch_add(1, Ordering::Relaxed);
-        }
+        self.error_kind(kind).inc();
+    }
+
+    /// Transitions of any solver tier's breaker into `state`.
+    pub fn breaker_transitions(&self, state: BreakerState) -> &Counter {
+        &self.breaker_transitions[match state {
+            BreakerState::Closed => 0,
+            BreakerState::Open => 1,
+            BreakerState::HalfOpen => 2,
+        }]
+    }
+
+    /// Successful responses of `fidelity`.
+    pub fn responses(&self, fidelity: Fidelity) -> &Counter {
+        let i = Fidelity::ALL
+            .iter()
+            .position(|f| *f == fidelity)
+            .unwrap_or(0);
+        &self.responses_by_fidelity[i]
     }
 
     /// Connections currently in `phase`.
-    pub fn conns_in(&self, phase: ConnPhase) -> usize {
-        self.reactor.conn_phases[phase.index()].load(Ordering::Relaxed)
+    pub fn conns(&self, phase: ConnPhase) -> &Gauge {
+        let i = ConnPhase::ALL.iter().position(|p| *p == phase).unwrap_or(0);
+        &self.conns[i]
     }
 
-    /// Count one failed `accept` (the listener returned an error or a
-    /// freshly accepted socket could not be registered/refused).
-    pub fn record_accept_error(&self) {
-        self.reactor.accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failed accepts so far.
-    pub fn accept_errors(&self) -> u64 {
-        self.reactor.accept_errors.load(Ordering::Relaxed)
-    }
-
-    /// Count `n` reactor wakeups delivered through the message channel.
-    pub fn record_reactor_wakeups(&self, n: u64) {
-        if n > 0 {
-            self.reactor.wakeups.fetch_add(n, Ordering::Relaxed);
+    /// Move a connection between phase gauges. `None` means the
+    /// connection is entering (accepted) or leaving (closed) the reactor.
+    pub fn conn_transition(&self, from: Option<ConnPhase>, to: Option<ConnPhase>) {
+        if let Some(p) = from {
+            self.conns(p).dec();
+        }
+        if let Some(p) = to {
+            self.conns(p).inc();
         }
     }
 
-    /// Reactor channel wakeups so far.
-    pub fn reactor_wakeups(&self) -> u64 {
-        self.reactor.wakeups.load(Ordering::Relaxed)
+    /// Record one request's wall-clock latency (lock-free).
+    pub fn record_latency(&self, elapsed: Duration) {
+        self.latency.record(elapsed);
+    }
+
+    /// The latency distribution so far; O(buckets), whatever the uptime.
+    pub fn latency_summary(&self) -> LatencySummary {
+        self.latency.summary()
     }
 
     /// The `reactor` object of the `/metrics` document, minus the
     /// fields only the server knows (`io_threads`, handler stats).
     pub fn reactor_doc(&self) -> Vec<(&'static str, JsonValue)> {
-        let conn = JsonValue::Object(
-            ConnPhase::ALL
-                .iter()
-                .map(|p| {
-                    (
-                        p.label().to_string(),
-                        JsonValue::from(self.conns_in(*p) as u64),
-                    )
-                })
-                .collect(),
-        );
+        let conn = ConnPhase::ALL
+            .iter()
+            .map(|p| (p.label().to_string(), self.conns(*p).into()))
+            .collect();
         vec![
-            ("conn", conn),
-            ("accept_errors", JsonValue::from(self.accept_errors())),
-            ("wakeups", JsonValue::from(self.reactor_wakeups())),
+            ("conn", JsonValue::Object(conn)),
+            ("accept_errors", (&self.accept_errors).into()),
+            ("wakeups", (&self.reactor_wakeups).into()),
         ]
     }
 
-    fn breaker_index(state: BreakerState) -> usize {
-        match state {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        }
-    }
-
-    fn fidelity_index(fidelity: Fidelity) -> usize {
-        Fidelity::ALL
-            .iter()
-            .position(|f| *f == fidelity)
-            .unwrap_or(0)
-    }
-
-    /// Count one request shed by admission control.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests shed so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Count one worker-lost retry attempt.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Worker-lost retries attempted so far.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Count one breaker transition into `state`.
-    pub fn record_breaker_transition(&self, state: BreakerState) {
-        self.breaker_transitions[Self::breaker_index(state)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Transitions into `state` so far (across all solver tiers).
-    pub fn breaker_transitions_into(&self, state: BreakerState) -> u64 {
-        self.breaker_transitions[Self::breaker_index(state)].load(Ordering::Relaxed)
-    }
-
-    /// Add a solve attempt's warm/cold counter deltas (one call per
-    /// ladder run; a single run can contain several rung solves).
-    pub fn record_solver_activity(&self, warm: u64, cold: u64) {
-        if warm > 0 {
-            self.warm_hits.fetch_add(warm, Ordering::Relaxed);
-        }
-        if cold > 0 {
-            self.cold_solves.fetch_add(cold, Ordering::Relaxed);
-        }
-    }
-
-    /// Solves that started from a usable warm seed so far.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits.load(Ordering::Relaxed)
-    }
-
-    /// Solves that started cold so far.
-    pub fn cold_solves(&self) -> u64 {
-        self.cold_solves.load(Ordering::Relaxed)
-    }
-
-    /// Count one successful response of the given fidelity.
-    pub fn record_fidelity(&self, fidelity: Fidelity) {
-        self.responses_by_fidelity[Self::fidelity_index(fidelity)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Successful responses of the given fidelity so far.
-    pub fn responses_of_fidelity(&self, fidelity: Fidelity) -> u64 {
-        self.responses_by_fidelity[Self::fidelity_index(fidelity)].load(Ordering::Relaxed)
-    }
-
-    fn endpoint_index(endpoint: &str) -> Option<usize> {
-        ENDPOINTS.iter().position(|e| *e == endpoint)
-    }
-
-    /// Count one request to `endpoint` (unknown endpoints are ignored).
-    pub fn record_request(&self, endpoint: &str) {
-        if let Some(i) = Self::endpoint_index(endpoint) {
-            self.endpoints[i].requests.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one error on `endpoint` with the given kind label. Unknown
-    /// kinds fold into `internal` so nothing is silently dropped.
-    pub fn record_error(&self, endpoint: &str, kind: &str) {
-        if let Some(i) = Self::endpoint_index(endpoint) {
-            self.endpoints[i].errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let k = ERROR_KINDS
-            .iter()
-            .position(|e| *e == kind)
-            .unwrap_or(ERROR_KINDS.len() - 1);
-        self.error_kinds[k].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request's wall-clock latency.
-    pub fn record_latency(&self, elapsed: Duration) {
-        let shard = MY_SHARD.with(|cell| {
-            if cell.get() == usize::MAX {
-                let s = self.next_shard.fetch_add(1, Ordering::Relaxed) % LATENCY_SHARDS;
-                cell.set(s);
-            }
-            cell.get()
-        });
-        let ms = elapsed.as_secs_f64() * 1e3;
-        lock_ok(&self.latency[shard]).record(ms);
-        // Bump *after* the sample lands: a merge that raced past this
-        // sample stored a pre-bump generation, so the next scrape
-        // observes the new generation and re-merges.
-        self.latency_generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Requests seen on `endpoint`.
-    pub fn requests(&self, endpoint: &str) -> u64 {
-        Self::endpoint_index(endpoint)
-            .map(|i| self.endpoints[i].requests.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Errors seen on `endpoint`.
-    pub fn errors(&self, endpoint: &str) -> u64 {
-        Self::endpoint_index(endpoint)
-            .map(|i| self.endpoints[i].errors.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Errors counted under `kind`.
-    pub fn errors_of_kind(&self, kind: &str) -> u64 {
-        ERROR_KINDS
-            .iter()
-            .position(|e| *e == kind)
-            .map(|i| self.error_kinds[i].load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// The latency digest, merged across shards. The merge only runs
-    /// when samples arrived since the previous call; an idle `/metrics`
-    /// scrape returns the cached digest (generation-checked) instead of
-    /// re-merging 16 shards' tallies and P² estimators every time.
-    pub fn latency_summary(&self) -> LatencySummary {
-        // The generation is read before merging: samples recorded during
-        // the merge may or may not be included, but their bump outdates
-        // the stored generation either way, so they are never lost.
-        let generation = self.latency_generation.load(Ordering::Acquire);
-        {
-            let cached = lock_ok(&self.latency_cache);
-            if cached.0 == generation {
-                return cached.1;
-            }
-        }
-        let mut merged = LatencyShard::new();
-        for shard in &self.latency {
-            merged.merge(&lock_ok(shard));
-        }
-        self.latency_merges.fetch_add(1, Ordering::Relaxed);
-        let count = merged.tally.count();
-        let summary = LatencySummary {
-            count,
-            mean_ms: merged.tally.mean(),
-            max_ms: if count == 0 { 0.0 } else { merged.tally.max() },
-            p50_ms: merged.p50.estimate(),
-            p95_ms: merged.p95.estimate(),
-            p99_ms: merged.p99.estimate(),
-        };
-        *lock_ok(&self.latency_cache) = (generation, summary);
-        summary
-    }
-
-    /// Full shard merges performed so far (see [`Self::latency_summary`]).
-    pub fn latency_merges(&self) -> u64 {
-        self.latency_merges.load(Ordering::Relaxed)
-    }
-
-    /// The `/metrics` document (cache stats are appended by the server,
-    /// which owns the cache).
+    /// The `/metrics` document: this registry's sections followed by
+    /// the `extra` sections other components rendered.
     pub fn to_json(&self, extra: Vec<(&str, JsonValue)>) -> JsonValue {
-        let endpoints = JsonValue::Object(
-            ENDPOINTS
-                .iter()
-                .map(|e| {
-                    (
-                        (*e).to_string(),
-                        JsonValue::object(vec![
-                            ("requests", JsonValue::from(self.requests(e))),
-                            ("errors", JsonValue::from(self.errors(e))),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let errors = JsonValue::Object(
-            ERROR_KINDS
-                .iter()
-                .map(|k| ((*k).to_string(), JsonValue::from(self.errors_of_kind(k))))
-                .collect(),
-        );
+        let endpoints = ENDPOINTS
+            .iter()
+            .zip(&self.endpoints)
+            .map(|(name, c)| {
+                let doc = JsonValue::object(vec![
+                    ("requests", (&c.requests).into()),
+                    ("errors", (&c.errors).into()),
+                ]);
+                ((*name).to_string(), doc)
+            })
+            .collect();
+        let errors = ERROR_KINDS
+            .iter()
+            .zip(&self.error_kinds)
+            .map(|(kind, c)| ((*kind).to_string(), c.into()))
+            .collect();
         let lat = self.latency_summary();
         let latency = JsonValue::object(vec![
-            ("count", JsonValue::from(lat.count)),
-            ("mean_ms", JsonValue::from(lat.mean_ms)),
-            ("max_ms", JsonValue::from(lat.max_ms)),
-            ("p50_ms", JsonValue::from(lat.p50_ms)),
-            ("p95_ms", JsonValue::from(lat.p95_ms)),
-            ("p99_ms", JsonValue::from(lat.p99_ms)),
+            ("count", lat.count.into()),
+            ("mean_ms", lat.mean_ms.into()),
+            ("max_ms", lat.max_ms.into()),
+            ("p50_ms", lat.p50_ms.into()),
+            ("p95_ms", lat.p95_ms.into()),
+            ("p99_ms", lat.p99_ms.into()),
         ]);
         let breaker = JsonValue::object(vec![
             (
                 "closed",
-                JsonValue::from(self.breaker_transitions_into(BreakerState::Closed)),
+                self.breaker_transitions(BreakerState::Closed).into(),
             ),
             (
                 "opened",
-                JsonValue::from(self.breaker_transitions_into(BreakerState::Open)),
+                self.breaker_transitions(BreakerState::Open).into(),
             ),
             (
                 "half_opened",
-                JsonValue::from(self.breaker_transitions_into(BreakerState::HalfOpen)),
+                self.breaker_transitions(BreakerState::HalfOpen).into(),
             ),
         ]);
-        let by_fidelity = JsonValue::Object(
-            Fidelity::ALL
-                .iter()
-                .map(|f| {
-                    (
-                        f.label().to_string(),
-                        JsonValue::from(self.responses_of_fidelity(*f)),
-                    )
-                })
-                .collect(),
-        );
+        let by_fidelity = Fidelity::ALL
+            .iter()
+            .map(|f| (f.label().to_string(), self.responses(*f).into()))
+            .collect();
         let resilience = JsonValue::object(vec![
-            ("shed", JsonValue::from(self.shed())),
-            ("retries", JsonValue::from(self.retries())),
+            ("shed", (&self.shed).into()),
+            ("retries", (&self.retries).into()),
             ("breaker_transitions", breaker),
-            ("responses_by_fidelity", by_fidelity),
+            ("responses_by_fidelity", JsonValue::Object(by_fidelity)),
         ]);
         let mut fields = vec![
-            ("endpoints", endpoints),
-            ("errors_by_kind", errors),
+            ("endpoints", JsonValue::Object(endpoints)),
+            ("errors_by_kind", JsonValue::Object(errors)),
             ("latency", latency),
             ("resilience", resilience),
         ];
@@ -563,8 +471,8 @@ impl ServiceMetrics {
 
     /// One-line human summary, logged at shutdown.
     pub fn summary_line(&self) -> String {
-        let total: u64 = ENDPOINTS.iter().map(|e| self.requests(e)).sum();
-        let errors: u64 = ENDPOINTS.iter().map(|e| self.errors(e)).sum();
+        let total: u64 = self.endpoints.iter().map(|e| e.requests.get()).sum();
+        let errors: u64 = self.endpoints.iter().map(|e| e.errors.get()).sum();
         let lat = self.latency_summary();
         format!(
             "requests={total} errors={errors} latency_ms(mean={:.2} p50={:.2} p95={:.2} p99={:.2} max={:.2} n={})",
@@ -576,40 +484,106 @@ impl ServiceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lt_desim::SimRng;
     use std::sync::Arc;
 
     #[test]
     fn counters_track_per_endpoint() {
         let m = ServiceMetrics::new();
-        m.record_request("solve");
-        m.record_request("solve");
-        m.record_request("sweep");
+        let solve = m.endpoint("solve").unwrap();
+        solve.requests.inc();
+        solve.requests.inc();
+        m.endpoint("sweep").unwrap().requests.inc();
         m.record_error("solve", "invalid_field");
-        assert_eq!(m.requests("solve"), 2);
-        assert_eq!(m.requests("sweep"), 1);
-        assert_eq!(m.errors("solve"), 1);
-        assert_eq!(m.errors("sweep"), 0);
-        assert_eq!(m.errors_of_kind("invalid_field"), 1);
+        assert_eq!(solve.requests.get(), 2);
+        assert_eq!(m.endpoint("sweep").unwrap().requests.get(), 1);
+        assert_eq!(solve.errors.get(), 1);
+        assert_eq!(m.endpoint("sweep").unwrap().errors.get(), 0);
+        assert_eq!(m.error_kind("invalid_field").get(), 1);
+        assert!(m.endpoint("nope").is_none());
     }
 
     #[test]
     fn unknown_error_kind_folds_into_internal() {
         let m = ServiceMetrics::new();
         m.record_error("solve", "something_novel");
-        assert_eq!(m.errors_of_kind("internal"), 1);
+        assert_eq!(m.error_kind("internal").get(), 1);
     }
 
     #[test]
-    fn latency_summary_merges_across_threads() {
-        let m = Arc::new(ServiceMetrics::new());
+    fn overload_error_kinds_are_first_class() {
+        let m = ServiceMetrics::new();
+        m.record_error("solve", "overloaded");
+        m.record_error("solve", "worker_lost");
+        assert_eq!(m.error_kind("overloaded").get(), 1);
+        assert_eq!(m.error_kind("worker_lost").get(), 1);
+        assert_eq!(m.error_kind("internal").get(), 0, "no fold for known kinds");
+    }
+
+    /// Seeded latencies spread log-uniformly over 1 µs .. 10 s.
+    fn log_uniform_samples(n: usize, seed: u64) -> Vec<Duration> {
+        let mut rng = SimRng::new(seed);
+        let (lo, hi) = (1e3f64.ln(), 1e10f64.ln());
+        (0..n)
+            .map(|_| Duration::from_nanos((lo + (hi - lo) * rng.uniform01()).exp() as u64))
+            .collect()
+    }
+
+    #[test]
+    fn buckets_are_at_most_one_percent_wide_and_tile_the_range() {
+        let mut next = bucket_bounds(0).0;
+        assert_eq!(next, 1 << LOW_EXP);
+        for i in 0..BUCKETS {
+            let (lo, width) = bucket_bounds(i);
+            assert_eq!(lo, next, "bucket {i} starts where {} ended", i.max(1) - 1);
+            assert!(width as f64 / lo as f64 <= 0.01, "bucket {i}");
+            assert_eq!(bucket_of(lo), i);
+            assert_eq!(bucket_of(lo + width - 1), i);
+            next = lo + width;
+        }
+        assert_eq!(next, 1 << HIGH_EXP);
+    }
+
+    #[test]
+    fn quantiles_are_within_one_bucket_of_the_exact_order_statistics() {
+        for seed in [1, 2, 3] {
+            let samples = log_uniform_samples(20_000, seed);
+            let h = Histogram::default();
+            for d in &samples {
+                h.record(*d);
+            }
+            let mut sorted: Vec<u64> = samples.iter().map(|d| d.as_nanos() as u64).collect();
+            sorted.sort_unstable();
+            let s = h.summary();
+            for (q, got_ms) in [(0.50, s.p50_ms), (0.95, s.p95_ms), (0.99, s.p99_ms)] {
+                let rank = (q * sorted.len() as f64).ceil() as usize;
+                let exact = sorted[rank - 1];
+                let (_, width) = bucket_bounds(bucket_of(exact));
+                let err_ns = (got_ms * 1e6 - exact as f64).abs();
+                assert!(
+                    err_ns <= width as f64,
+                    "seed {seed} q {q}: {got_ms} ms vs exact {exact} ns (bucket width {width} ns)"
+                );
+            }
+            assert_eq!(s.count, samples.len() as u64);
+            assert_eq!(s.max_ms, *sorted.last().unwrap() as f64 / 1e6);
+        }
+    }
+
+    #[test]
+    fn concurrent_recording_is_exact() {
+        let samples = Arc::new(log_uniform_samples(5_000, 9));
+        let one = Histogram::default();
+        for d in samples.iter() {
+            one.record(*d);
+        }
+        let shared = Arc::new(Histogram::default());
         let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let m = Arc::clone(&m);
+            .map(|_| {
+                let (h, samples) = (Arc::clone(&shared), Arc::clone(&samples));
                 std::thread::spawn(move || {
-                    for i in 0..500 {
-                        // Deterministic spread of latencies 1..=500 ms.
-                        let ms = ((i + t * 37) % 500 + 1) as u64;
-                        m.record_latency(Duration::from_millis(ms));
+                    for d in samples.iter() {
+                        h.record(*d);
                     }
                 })
             })
@@ -617,59 +591,54 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let lat = m.latency_summary();
-        assert_eq!(lat.count, 8 * 500);
-        assert!(
-            lat.mean_ms > 200.0 && lat.mean_ms < 300.0,
-            "{}",
-            lat.mean_ms
+        let (a, b) = (one.summary(), shared.summary());
+        assert_eq!(b.count, 8 * a.count);
+        assert_eq!(
+            shared.sum_ns.load(Ordering::Relaxed),
+            8 * one.sum_ns.load(Ordering::Relaxed)
         );
-        assert!(lat.p50_ms > 150.0 && lat.p50_ms < 350.0, "{}", lat.p50_ms);
-        assert!(lat.p95_ms > lat.p50_ms);
-        assert!(lat.p99_ms >= lat.p95_ms);
-        assert!(lat.max_ms <= 500.0 + 1e-9);
+        assert_eq!(b.max_ms, a.max_ms);
+        assert_eq!(
+            (b.p50_ms, b.p95_ms, b.p99_ms),
+            (a.p50_ms, a.p95_ms, a.p99_ms)
+        );
     }
 
     #[test]
-    fn idle_scrapes_reuse_the_merged_digest() {
-        let m = ServiceMetrics::new();
-        assert_eq!(m.latency_summary().count, 0);
-        assert_eq!(
-            m.latency_merges(),
-            0,
-            "an empty registry never pays for a merge"
-        );
+    fn out_of_range_values_clamp_into_the_edge_buckets() {
+        let h = Histogram::default();
+        h.record(Duration::from_nanos(3));
+        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1);
+        let s = h.summary();
+        assert_eq!(s.max_ms, 3e-6, "max stays exact below the range");
+        assert_eq!(s.p50_ms, s.max_ms, "a quantile never exceeds the max");
 
-        m.record_latency(Duration::from_millis(5));
-        m.record_latency(Duration::from_millis(15));
-        let first = m.latency_summary();
-        assert_eq!(first.count, 2);
-        assert_eq!(m.latency_merges(), 1);
+        let huge = Duration::from_secs(1_000);
+        h.record(huge);
+        assert_eq!(h.buckets[BUCKETS - 1].load(Ordering::Relaxed), 1);
+        let s = h.summary();
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max_ms, 1e6, "max stays exact above the range");
+        let mean_ms = (huge.as_nanos() as f64 + 3.0) / 2.0 / 1e6;
+        assert!((s.mean_ms - mean_ms).abs() < 1e-9, "{}", s.mean_ms);
+    }
 
-        // Scrapes with no new samples are answered from the cache.
-        for _ in 0..10 {
-            let again = m.latency_summary();
-            assert_eq!(again.count, first.count);
-            assert_eq!(again.mean_ms, first.mean_ms);
-            assert_eq!(again.p99_ms, first.p99_ms);
+    #[test]
+    fn empty_histogram_reports_all_zeros() {
+        let s = ServiceMetrics::new().latency_summary();
+        assert_eq!(s.count, 0);
+        for v in [s.mean_ms, s.max_ms, s.p50_ms, s.p95_ms, s.p99_ms] {
+            assert_eq!(v, 0.0);
         }
-        assert_eq!(m.latency_merges(), 1, "idle scrapes must not re-merge");
-
-        // A new sample invalidates exactly once.
-        m.record_latency(Duration::from_millis(25));
-        assert_eq!(m.latency_summary().count, 3);
-        m.latency_summary();
-        assert_eq!(m.latency_merges(), 2);
     }
 
     #[test]
     fn to_json_has_the_metrics_schema() {
         let m = ServiceMetrics::new();
-        m.record_request("solve");
+        m.endpoint("solve").unwrap().requests.inc();
         m.record_latency(Duration::from_millis(10));
         let doc = m.to_json(vec![("cache", JsonValue::object(vec![]))]);
-        let text = lt_core::json::encode(&doc);
-        let back = lt_core::json::parse(&text).unwrap();
+        let back = lt_core::json::parse(&lt_core::json::encode(&doc)).unwrap();
         assert_eq!(
             back.get("endpoints")
                 .and_then(|e| e.get("solve"))
@@ -677,12 +646,8 @@ mod tests {
                 .and_then(|r| r.as_u64()),
             Some(1)
         );
-        for field in ["count", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms"] {
-            assert!(
-                back.get("latency").and_then(|l| l.get(field)).is_some(),
-                "missing latency.{field}"
-            );
-        }
+        let p50 = back.get("latency").and_then(|l| l.get("p50_ms"));
+        assert!((p50.and_then(|v| v.as_f64()).unwrap() - 10.0).abs() < 0.1);
         assert!(back.get("cache").is_some());
         assert!(back
             .get("errors_by_kind")
@@ -693,57 +658,28 @@ mod tests {
     #[test]
     fn resilience_counters_track_and_serialize() {
         let m = ServiceMetrics::new();
-        m.record_shed();
-        m.record_shed();
-        m.record_retry();
-        m.record_breaker_transition(BreakerState::Open);
-        m.record_breaker_transition(BreakerState::HalfOpen);
-        m.record_breaker_transition(BreakerState::Closed);
-        m.record_fidelity(Fidelity::Exact);
-        m.record_fidelity(Fidelity::Degraded);
-        m.record_fidelity(Fidelity::Degraded);
-        assert_eq!(m.shed(), 2);
-        assert_eq!(m.retries(), 1);
-        assert_eq!(m.breaker_transitions_into(BreakerState::Open), 1);
-        assert_eq!(m.responses_of_fidelity(Fidelity::Degraded), 2);
-        assert_eq!(m.responses_of_fidelity(Fidelity::Bounds), 0);
+        m.shed.inc();
+        m.shed.inc();
+        m.retries.inc();
+        m.breaker_transitions(BreakerState::Open).inc();
+        m.breaker_transitions(BreakerState::HalfOpen).inc();
+        m.breaker_transitions(BreakerState::Closed).inc();
+        m.responses(Fidelity::Exact).inc();
+        m.responses(Fidelity::Degraded).add(2);
+        assert_eq!(m.responses(Fidelity::Bounds).get(), 0);
 
         let doc = m.to_json(vec![]);
         let back = lt_core::json::parse(&lt_core::json::encode(&doc)).unwrap();
         let res = back.get("resilience").expect("resilience object");
+        let at = |path: [&str; 2]| {
+            res.get(path[0])
+                .and_then(|b| b.get(path[1]))
+                .and_then(|v| v.as_u64())
+        };
         assert_eq!(res.get("shed").and_then(|v| v.as_u64()), Some(2));
-        assert_eq!(
-            res.get("breaker_transitions")
-                .and_then(|b| b.get("opened"))
-                .and_then(|v| v.as_u64()),
-            Some(1)
-        );
-        assert_eq!(
-            res.get("responses_by_fidelity")
-                .and_then(|b| b.get("degraded"))
-                .and_then(|v| v.as_u64()),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn overload_error_kinds_are_first_class() {
-        let m = ServiceMetrics::new();
-        m.record_error("solve", "overloaded");
-        m.record_error("solve", "worker_lost");
-        assert_eq!(m.errors_of_kind("overloaded"), 1);
-        assert_eq!(m.errors_of_kind("worker_lost"), 1);
-        assert_eq!(m.errors_of_kind("internal"), 0, "no fold for known kinds");
-    }
-
-    #[test]
-    fn solver_activity_accumulates_deltas() {
-        let m = ServiceMetrics::new();
-        m.record_solver_activity(0, 1);
-        m.record_solver_activity(3, 0);
-        m.record_solver_activity(2, 2);
-        assert_eq!(m.warm_hits(), 5);
-        assert_eq!(m.cold_solves(), 3);
+        assert_eq!(res.get("retries").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(at(["breaker_transitions", "opened"]), Some(1));
+        assert_eq!(at(["responses_by_fidelity", "degraded"]), Some(2));
     }
 
     #[test]
@@ -753,18 +689,14 @@ mod tests {
         m.conn_transition(None, Some(ConnPhase::Idle));
         m.conn_transition(Some(ConnPhase::Idle), Some(ConnPhase::Reading));
         m.conn_transition(Some(ConnPhase::Reading), Some(ConnPhase::Dispatched));
-        assert_eq!(m.conns_in(ConnPhase::Idle), 1);
-        assert_eq!(m.conns_in(ConnPhase::Reading), 0);
-        assert_eq!(m.conns_in(ConnPhase::Dispatched), 1);
+        assert_eq!(m.conns(ConnPhase::Idle).get(), 1);
+        assert_eq!(m.conns(ConnPhase::Reading).get(), 0);
+        assert_eq!(m.conns(ConnPhase::Dispatched).get(), 1);
         m.conn_transition(Some(ConnPhase::Dispatched), None);
-        assert_eq!(m.conns_in(ConnPhase::Dispatched), 0);
+        assert_eq!(m.conns(ConnPhase::Dispatched).get(), 0);
 
-        m.record_accept_error();
-        m.record_reactor_wakeups(3);
-        m.record_reactor_wakeups(0);
-        assert_eq!(m.accept_errors(), 1);
-        assert_eq!(m.reactor_wakeups(), 3);
-
+        m.accept_errors.inc();
+        m.reactor_wakeups.add(3);
         let doc = JsonValue::object(m.reactor_doc());
         let back = lt_core::json::parse(&lt_core::json::encode(&doc)).unwrap();
         assert_eq!(
@@ -780,7 +712,7 @@ mod tests {
     #[test]
     fn summary_line_mentions_request_count() {
         let m = ServiceMetrics::new();
-        m.record_request("solve");
+        m.endpoint("solve").unwrap().requests.inc();
         assert!(m.summary_line().contains("requests=1"));
     }
 }

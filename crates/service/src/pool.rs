@@ -20,16 +20,18 @@
 //!   capacity survives poisoned jobs. The dead job's one-shot sender is
 //!   dropped unsent, which the handler observes as a disconnected
 //!   receiver — the signal behind the structured `worker_lost` error and
-//!   the bounded retry in `server.rs`. [`WorkerPool::workers_lost`]
-//!   counts the casualties.
+//!   the bounded retry in `server.rs`. The pool's `workers_lost` counter
+//!   (served at `/metrics` under `pool`) counts the casualties.
 //! * [`WorkerPool::shutdown`] closes the channel and joins the workers;
 //!   already-queued jobs are drained, not dropped (graceful shutdown).
 //!
 //! The MPMC channel is std's mpsc with the receiver behind a mutex — the
 //! standard dependency-free construction; hold times are one queue pop.
 
+use crate::metrics::Counter;
 use crate::sync::lock_ok;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use lt_core::json::JsonValue;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -41,8 +43,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// which runs on a dying worker with no `&WorkerPool` in reach.
 struct PoolShared {
     rx: Mutex<Receiver<Job>>,
-    completed: AtomicU64,
-    workers_lost: AtomicU64,
+    /// Jobs fully executed.
+    completed: Counter,
+    /// Worker threads killed by panicking jobs (each replaced while the
+    /// pool was open).
+    workers_lost: Counter,
     /// Cleared by [`WorkerPool::shutdown`]; a worker dying during
     /// shutdown is not replaced.
     open: AtomicBool,
@@ -57,7 +62,8 @@ pub struct WorkerPool {
     handles: Mutex<Vec<JoinHandle<()>>>,
     shared: Arc<PoolShared>,
     workers: usize,
-    submitted: AtomicU64,
+    /// Jobs accepted.
+    submitted: Counter,
 }
 
 /// Why a batch run did not return results.
@@ -87,7 +93,7 @@ impl Drop for RespawnGuard {
         if !self.armed || !std::thread::panicking() {
             return;
         }
-        self.shared.workers_lost.fetch_add(1, Ordering::Relaxed);
+        self.shared.workers_lost.inc();
         if !self.shared.open.load(Ordering::SeqCst) {
             return;
         }
@@ -119,7 +125,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
         };
         job();
         guard.disarm();
-        shared.completed.fetch_add(1, Ordering::Relaxed);
+        shared.completed.inc();
     }
 }
 
@@ -130,8 +136,8 @@ impl WorkerPool {
         let (tx, rx) = channel::<Job>();
         let shared = Arc::new(PoolShared {
             rx: Mutex::new(rx),
-            completed: AtomicU64::new(0),
-            workers_lost: AtomicU64::new(0),
+            completed: Counter::default(),
+            workers_lost: Counter::default(),
             open: AtomicBool::new(true),
             respawned: Mutex::new(Vec::new()),
             next_worker_id: AtomicUsize::new(workers),
@@ -152,7 +158,7 @@ impl WorkerPool {
             handles: Mutex::new(handles),
             shared,
             workers,
-            submitted: AtomicU64::new(0),
+            submitted: Counter::default(),
         }
     }
 
@@ -161,20 +167,14 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Jobs accepted so far.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs fully executed so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads killed by panicking jobs (each was replaced while
-    /// the pool was open).
-    pub fn workers_lost(&self) -> u64 {
-        self.shared.workers_lost.load(Ordering::Relaxed)
+    /// The `pool` object of the `/metrics` document.
+    pub fn metrics_doc(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("workers", self.workers.into()),
+            ("jobs_submitted", (&self.submitted).into()),
+            ("jobs_completed", (&self.shared.completed).into()),
+            ("workers_lost", (&self.shared.workers_lost).into()),
+        ])
     }
 
     /// Whether the pool still accepts work ([`shutdown`] not yet called).
@@ -191,7 +191,7 @@ impl WorkerPool {
         let guard = lock_ok(&self.sender);
         match guard.as_ref() {
             Some(tx) if tx.send(Box::new(f)).is_ok() => {
-                self.submitted.fetch_add(1, Ordering::Relaxed);
+                self.submitted.inc();
                 true
             }
             _ => false,
@@ -365,8 +365,6 @@ struct HandlerShared {
     /// [`HandlerPool::offload`] can compare demand against idle supply
     /// instead of trusting a single stale idle snapshot.
     queued: AtomicUsize,
-    /// Threads ever spawned (growth diagnostic).
-    spawned: AtomicU64,
     next_id: AtomicUsize,
 }
 
@@ -390,6 +388,8 @@ pub struct HandlerPool {
     sender: Mutex<Option<Sender<Job>>>,
     shared: Arc<HandlerShared>,
     cap: usize,
+    /// Threads ever spawned, retired ones included (growth diagnostic).
+    spawned: Counter,
 }
 
 fn handler_loop(shared: &Arc<HandlerShared>) {
@@ -435,21 +435,23 @@ impl HandlerPool {
                 idle: AtomicUsize::new(0),
                 live: AtomicUsize::new(0),
                 queued: AtomicUsize::new(0),
-                spawned: AtomicU64::new(0),
                 next_id: AtomicUsize::new(0),
             }),
             cap: cap.max(1),
+            spawned: Counter::default(),
         }
     }
 
-    /// Threads alive right now.
-    pub fn live_threads(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
-    }
-
-    /// Threads ever spawned (retired ones included).
-    pub fn threads_spawned(&self) -> u64 {
-        self.shared.spawned.load(Ordering::Relaxed)
+    /// This pool's fields of the `reactor` object in `/metrics`: threads
+    /// alive now and threads ever spawned.
+    pub fn metrics_fields(&self) -> [(&'static str, JsonValue); 2] {
+        [
+            (
+                "handler_threads",
+                self.shared.live.load(Ordering::SeqCst).into(),
+            ),
+            ("handler_threads_spawned", (&self.spawned).into()),
+        ]
     }
 
     /// Queue a blocking job, growing the pool if every thread is busy.
@@ -498,7 +500,7 @@ impl HandlerPool {
             Ok(_) => {
                 // Detached by design: handlers retire via idle timeout
                 // or queue closure; nothing ever joins them.
-                self.shared.spawned.fetch_add(1, Ordering::Relaxed);
+                self.spawned.inc();
             }
             Err(_) => {
                 self.shared.live.fetch_sub(1, Ordering::SeqCst);
@@ -529,6 +531,7 @@ impl Drop for HandlerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     #[test]
@@ -536,7 +539,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let rx = pool.execute(|| 21 * 2).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 42);
-        assert_eq!(pool.jobs_submitted(), 1);
+        assert_eq!(pool.submitted.get(), 1);
     }
 
     #[test]
@@ -645,7 +648,7 @@ mod tests {
         // The single worker was replaced: the pool still executes jobs.
         let rx = pool.execute(|| 7u32).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 7);
-        assert_eq!(pool.workers_lost(), 1);
+        assert_eq!(pool.shared.workers_lost.get(), 1);
         assert!(pool.is_open());
     }
 
@@ -665,6 +668,6 @@ mod tests {
         // worker can answer the follow-up job before a dying worker's
         // drop guard has finished counting itself.
         pool.shutdown();
-        assert_eq!(pool.workers_lost(), 5);
+        assert_eq!(pool.shared.workers_lost.get(), 5);
     }
 }

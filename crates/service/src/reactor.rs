@@ -297,7 +297,9 @@ fn shard_loop(state: &Arc<ServiceState>, rx: &Receiver<ReactorMsg>, tx: &Sender<
             wakeups += 1;
             progress |= handle_msg(state, &mut conns, &mut free, msg, &mut drain_deadline);
         }
-        state.metrics.record_reactor_wakeups(wakeups);
+        if wakeups > 0 {
+            state.metrics.reactor_wakeups.add(wakeups);
+        }
 
         // 2. Poll connections: hot ones every round, the long-idle herd
         // only on the cold-sweep cadence.
@@ -423,7 +425,7 @@ fn register_conn(
     if stream.set_nonblocking(true).is_err() {
         // A socket that cannot go non-blocking would hang the shard on
         // its first read; refuse it instead.
-        state.metrics.record_accept_error();
+        state.metrics.accept_errors.inc();
         return false;
     }
     // lt-lint: allow(LT07, best effort: without nodelay the responses are merely slower, not wrong)

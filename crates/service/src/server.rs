@@ -312,7 +312,7 @@ impl Server {
             let stream = match conn {
                 Ok(stream) => stream,
                 Err(_) => {
-                    self.state.metrics.record_accept_error();
+                    self.state.metrics.accept_errors.inc();
                     // Back off before retrying: accept errors like
                     // EMFILE (a realistic state with thousands of
                     // reactor-held connections) persist for a while, and
@@ -327,7 +327,7 @@ impl Server {
                 // structured 503 instead of a silent drop, exactly like
                 // the old connection-thread spawn-failure path should
                 // have.
-                self.state.metrics.record_accept_error();
+                self.state.metrics.accept_errors.inc();
                 refuse(stream);
             }
         }
@@ -402,13 +402,13 @@ impl ServerHandle {
         self.reactor.shutdown();
         self.state.handlers.shutdown();
         self.state.pool.shutdown();
-        let cache = self.state.cache.stats();
+        let cache = &self.state.cache;
         format!(
             "latencyd shutdown: {} cache(hits={} misses={} entries={})",
             self.state.metrics.summary_line(),
-            cache.hits,
-            cache.misses,
-            cache.entries,
+            cache.hits.get(),
+            cache.misses.get(),
+            cache.len(),
         )
     }
 }
@@ -521,8 +521,10 @@ pub(crate) fn route(state: &Arc<ServiceState>, req: Request, done: Completion) -
             Err(in_flight) => {
                 done.cancel();
                 let started = Instant::now();
-                state.metrics.record_request(endpoint);
-                state.metrics.record_shed();
+                if let Some(c) = state.metrics.endpoint(endpoint) {
+                    c.requests.inc();
+                }
+                state.metrics.shed.inc();
                 state.metrics.record_error(endpoint, "overloaded");
                 let err = ApiError::overloaded(in_flight, state.max_queue_depth);
                 let resp =
@@ -570,7 +572,9 @@ fn classify(state: &ServiceState, req: &Request) -> Result<&'static str, Respons
             return Err(Response::json(404, err.body()));
         }
     };
-    state.metrics.record_request(endpoint);
+    if let Some(c) = state.metrics.endpoint(endpoint) {
+        c.requests.inc();
+    }
     let want_post =
         matches!(endpoint, "solve" | "sweep" | "tolerance") || req.path == "/v1/cluster/hint";
     if (want_post && req.method != "POST") || (!want_post && req.method != "GET") {
@@ -646,7 +650,7 @@ fn dispatch(
             None => match admit(state) {
                 Ok(slot) => Some(slot),
                 Err(in_flight) => {
-                    state.metrics.record_shed();
+                    state.metrics.shed.inc();
                     state.metrics.record_error(endpoint, "overloaded");
                     let err = ApiError::overloaded(in_flight, state.max_queue_depth);
                     return Response::json(err.status, err.body())
@@ -697,22 +701,8 @@ fn handle_healthz(state: &ServiceState) -> Response {
     Response::json(200, body)
 }
 
+/// `GET /metrics`: every component renders its own section.
 fn handle_metrics(state: &ServiceState) -> Response {
-    let c = state.cache.stats();
-    let cache = JsonValue::object(vec![
-        ("hits", c.hits.into()),
-        ("misses", c.misses.into()),
-        ("insertions", c.insertions.into()),
-        ("evictions", c.evictions.into()),
-        ("entries", c.entries.into()),
-        ("capacity", c.capacity.into()),
-    ]);
-    let pool = JsonValue::object(vec![
-        ("workers", state.pool.worker_count().into()),
-        ("jobs_submitted", state.pool.jobs_submitted().into()),
-        ("jobs_completed", state.pool.jobs_completed().into()),
-        ("workers_lost", state.pool.workers_lost().into()),
-    ]);
     let breakers = JsonValue::Object(
         BREAKER_TIERS
             .iter()
@@ -724,53 +714,23 @@ fn handle_metrics(state: &ServiceState) -> Response {
             })
             .collect(),
     );
-    let solver = JsonValue::object(vec![
-        ("warm_hits", state.metrics.warm_hits().into()),
-        ("cold_solves", state.metrics.cold_solves().into()),
-        ("workspaces_created", state.workspaces.created().into()),
-        ("workspaces_reused", state.workspaces.reused().into()),
-    ]);
-    let mut reactor_fields = state.metrics.reactor_doc();
-    reactor_fields.push(("io_threads", state.io_threads.into()));
-    reactor_fields.push(("handler_threads", state.handlers.live_threads().into()));
-    reactor_fields.push((
-        "handler_threads_spawned",
-        state.handlers.threads_spawned().into(),
-    ));
+    let mut reactor = state.metrics.reactor_doc();
+    reactor.push(("io_threads", state.io_threads.into()));
+    reactor.extend(state.handlers.metrics_fields());
     let mut extra = vec![
-        ("cache", cache),
-        ("pool", pool),
+        ("cache", state.cache.metrics_doc()),
+        ("pool", state.pool.metrics_doc()),
         ("breakers", breakers),
-        ("solver", solver),
-        ("reactor", JsonValue::object(reactor_fields)),
+        ("solver", state.workspaces.metrics_doc()),
+        ("reactor", JsonValue::object(reactor)),
     ];
-    let fault_doc;
     if let Some(plan) = &state.fault {
-        let [latency, panics, no_conv, corrupt, drops] = plan.injected();
-        fault_doc = JsonValue::object(vec![
-            ("requests_seen", plan.requests_seen().into()),
-            ("injected_latency", latency.into()),
-            ("injected_worker_panics", panics.into()),
-            ("injected_no_convergence", no_conv.into()),
-            ("injected_cache_corruptions", corrupt.into()),
-            ("injected_conn_drops", drops.into()),
-        ]);
-        extra.push(("fault_injection", fault_doc));
+        extra.push(("fault_injection", plan.metrics_doc()));
     }
     if let Some(cluster) = &state.cluster {
         extra.push(("cluster", cluster.metrics_doc()));
         if let Some(net) = cluster.chaos() {
-            let [dropped, delayed, duplicated, severed] = net.injected();
-            extra.push((
-                "link_faults",
-                JsonValue::object(vec![
-                    ("dropped", dropped.into()),
-                    ("delayed", delayed.into()),
-                    ("duplicated", duplicated.into()),
-                    ("severed", severed.into()),
-                    ("partitioned", net.partition().is_some().into()),
-                ]),
-            ));
+            extra.push(("link_faults", net.metrics_doc()));
         }
     }
     let doc = state.metrics.to_json(extra);
@@ -900,7 +860,7 @@ fn record_primary_outcome(state: &ServiceState, tier: usize, outcome: PrimaryOut
         }
     };
     if let Some(s) = transition {
-        state.metrics.record_breaker_transition(s);
+        state.metrics.breaker_transitions(s).inc();
     }
 }
 
@@ -939,11 +899,11 @@ fn try_forward_solve(
         if remaining < forward::MIN_HOP_TIMEOUT * 2 {
             // Not enough budget left to risk a hop and still answer
             // locally: stop forwarding, spend the rest on the fallback.
-            cluster.record_budget_exhausted();
+            cluster.budget_exhausted.inc();
             return None;
         }
         if attempt > 0 {
-            cluster.record_forward_retry();
+            cluster.forward_retries.inc();
             // Deterministic jittered backoff (same stream as worker-lost
             // retries), bounded by the deadline.
             retry_backoff(state, 0, deadline);
@@ -955,24 +915,24 @@ fn try_forward_solve(
         match cluster.exchange_with(&target, "POST", "/v1/solve", body, hops + 1, hop_timeout) {
             Ok(resp) if resp.status == 200 => {
                 if let Some(tagged) = retag_forwarded(&resp.body) {
-                    cluster.record_hit_forwarded();
+                    cluster.hits_forwarded.inc();
                     if target != owner {
-                        cluster.record_replica_hit();
+                        cluster.replica_hits.inc();
                     }
                     cluster.peer_success(&target);
                     return Some(Response::json(200, tagged));
                 }
-                cluster.record_forward_error();
+                cluster.forward_errors.inc();
             }
             Ok(_) => {
                 // The peer answered but could not serve (overloaded, shut
                 // down, solver failure): try the next replica or solve
                 // here — a local error beats relaying a remote one we
                 // might not hit ourselves.
-                cluster.record_forward_error();
+                cluster.forward_errors.inc();
             }
             Err(e) => {
-                cluster.record_forward_error();
+                cluster.forward_errors.inc();
                 if e.is_transport() {
                     cluster.peer_failure(&target);
                 }
@@ -1035,7 +995,7 @@ fn handle_solve(
         let doc = api::solve_response_doc(cached, report);
         match &cluster_env {
             Some((cluster, owner)) => {
-                cluster.record_hit_local();
+                cluster.hits_local.inc();
                 if report.fidelity.is_full() {
                     // Failover: this node answered for a key whose home
                     // node (owner on the all-members ring, so the check
@@ -1066,7 +1026,7 @@ fn handle_solve(
     // injected cache corruption mangles the key into a guaranteed miss.
     if !fd.cache_corrupt {
         if let Some(report) = state.cache.get(&key) {
-            state.metrics.record_fidelity(report.fidelity);
+            state.metrics.responses(report.fidelity).inc();
             return Ok(respond(true, &report));
         }
     }
@@ -1074,7 +1034,7 @@ fn handle_solve(
     let tier = breaker_index(req.solver);
     let (decision, transition) = state.breakers[tier].admit();
     if let Some(s) = transition {
-        state.metrics.record_breaker_transition(s);
+        state.metrics.breaker_transitions(s).inc();
     }
     let breaker_skip = decision == BreakerDecision::SkipPrimary;
     // Forced non-convergence (fault injection) sends the solve down the
@@ -1084,7 +1044,7 @@ fn handle_solve(
         // While the tier is broken, identical requests are answered from
         // the degraded cache line instead of re-running the ladder.
         if let Some(report) = state.cache.get(&degraded_key) {
-            state.metrics.record_fidelity(report.fidelity);
+            state.metrics.responses(report.fidelity).inc();
             return Ok(respond(true, &report));
         }
     }
@@ -1122,9 +1082,8 @@ fn handle_solve(
                     .with(|ws, _| {
                         let mut seed = SweepSeed::new();
                         let r = solve_degraded_in(&cfg, solver, policy, &mut seed, ws);
-                        state
-                            .metrics
-                            .record_solver_activity(seed.warm_hits, seed.cold_solves);
+                        state.workspaces.warm_hits.add(seed.warm_hits);
+                        state.workspaces.cold_solves.add(seed.cold_solves);
                         r
                     })
                     .map(Arc::new);
@@ -1154,7 +1113,7 @@ fn handle_solve(
                     };
                     record_primary_outcome(state, tier, outcome);
                 }
-                state.metrics.record_fidelity(report.fidelity);
+                state.metrics.responses(report.fidelity).inc();
                 return Ok(respond(false, &report));
             }
             Ok(Some(Err(e))) => {
@@ -1189,7 +1148,7 @@ fn handle_solve(
                     }
                     return Err(ApiError::worker_lost(attempt + 1));
                 }
-                state.metrics.record_retry();
+                state.metrics.retries.inc();
                 retry_backoff(state, attempt, deadline);
                 if Instant::now() >= deadline {
                     if judges_tier {
@@ -1220,8 +1179,8 @@ fn forward_sweep_group(
     if remaining < forward::MIN_HOP_TIMEOUT {
         // Too little deadline left to risk the hop: solve the group
         // locally with what remains.
-        cluster.record_budget_exhausted();
-        cluster.record_forward_error();
+        cluster.budget_exhausted.inc();
+        cluster.forward_errors.inc();
         return None;
     }
     let cfg_docs: Vec<JsonValue> = idxs.iter().map(|&i| config_to_json(&configs[i])).collect();
@@ -1248,9 +1207,7 @@ fn forward_sweep_group(
             match items {
                 Some(arr) => {
                     cluster.peer_success(owner);
-                    for _ in &arr {
-                        cluster.record_hit_forwarded();
-                    }
+                    cluster.hits_forwarded.add(arr.len() as u64);
                     Some(
                         arr.into_iter()
                             .map(|item| api::sweep_item_with_forwarded(item, true))
@@ -1258,17 +1215,17 @@ fn forward_sweep_group(
                     )
                 }
                 None => {
-                    cluster.record_forward_error();
+                    cluster.forward_errors.inc();
                     None
                 }
             }
         }
         Ok(_) => {
-            cluster.record_forward_error();
+            cluster.forward_errors.inc();
             None
         }
         Err(e) => {
-            cluster.record_forward_error();
+            cluster.forward_errors.inc();
             if e.is_transport() {
                 cluster.peer_failure(owner);
             }
@@ -1346,7 +1303,7 @@ fn handle_sweep(state: &Arc<ServiceState>, body: &[u8], hops: u32) -> Result<Res
                 let cfg = &batch_configs[batch_map[j]];
                 let key = canonical_solve_key(cfg, solver);
                 if let Some(report) = shared.cache.get(&key) {
-                    shared.metrics.record_fidelity(report.fidelity);
+                    shared.metrics.responses(report.fidelity).inc();
                     return Ok((true, report));
                 }
                 let policy = DegradePolicy {
@@ -1360,10 +1317,11 @@ fn handle_sweep(state: &Arc<ServiceState>, body: &[u8], hops: u32) -> Result<Res
                 let solved = shared.workspaces.with(|ws, seed| {
                     let before = (seed.warm_hits, seed.cold_solves);
                     let r = solve_degraded_in(cfg, solver, policy, seed, ws);
-                    shared.metrics.record_solver_activity(
-                        seed.warm_hits - before.0,
-                        seed.cold_solves - before.1,
-                    );
+                    shared.workspaces.warm_hits.add(seed.warm_hits - before.0);
+                    shared
+                        .workspaces
+                        .cold_solves
+                        .add(seed.cold_solves - before.1);
                     r
                 });
                 match solved.map(Arc::new) {
@@ -1388,7 +1346,7 @@ fn handle_sweep(state: &Arc<ServiceState>, body: &[u8], hops: u32) -> Result<Res
                                 .cache
                                 .insert(degraded_solve_key(cfg, solver), Arc::clone(&report));
                         }
-                        shared.metrics.record_fidelity(report.fidelity);
+                        shared.metrics.responses(report.fidelity).inc();
                         Ok((false, report))
                     }
                     Err(e) => Err(ApiError::from(e)),
@@ -1402,7 +1360,7 @@ fn handle_sweep(state: &Arc<ServiceState>, body: &[u8], hops: u32) -> Result<Res
             let mut item = api::sweep_item(result);
             if let Some(cl) = cluster {
                 item = api::sweep_item_with_forwarded(item, false);
-                cl.record_hit_local();
+                cl.hits_local.inc();
             }
             slots[map[j]] = Some(item);
         }
@@ -1527,7 +1485,7 @@ mod tests {
         let resp = request(h.addr(), "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
         assert!(resp.contains("\"kind\":\"not_found\""), "{resp}");
-        assert_eq!(h.state().metrics.errors_of_kind("not_found"), 1);
+        assert_eq!(h.state().metrics.error_kind("not_found").get(), 1);
         h.shutdown();
     }
 
@@ -1602,8 +1560,8 @@ mod tests {
         );
         assert!(resp.contains("Retry-After: 1\r\n"), "{resp}");
         assert!(resp.contains("\"kind\":\"overloaded\""), "{resp}");
-        assert_eq!(state.metrics.shed(), 1);
-        assert_eq!(state.metrics.errors_of_kind("overloaded"), 1);
+        assert_eq!(state.metrics.shed.get(), 1);
+        assert_eq!(state.metrics.error_kind("overloaded").get(), 1);
         drop(slot);
         h.shutdown();
     }

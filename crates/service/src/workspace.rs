@@ -10,7 +10,9 @@
 //!
 //! The pool itself only counts: `created` is the number of threads that
 //! had to build fresh state, `reused` the number of jobs that found state
-//! already waiting. Both surface in `GET /metrics` under `solver`.
+//! already waiting, and `warm_hits`/`cold_solves` (added by the solve
+//! paths from each run's seed) say how often a solve started warm. All
+//! four surface in `GET /metrics` under `solver`.
 //!
 //! Ownership rules follow the workspace's own: state never crosses
 //! threads (it lives in a thread-local) and is taken out of the slot for
@@ -19,9 +21,11 @@
 //! anything.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use lt_core::json::JsonValue;
 use lt_core::{SolverWorkspace, SweepSeed};
+
+use crate::metrics::Counter;
 
 thread_local! {
     /// This thread's pooled solver state, if it has run a solve before.
@@ -33,8 +37,15 @@ thread_local! {
 /// bookkeeping the `/metrics` endpoint reads.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
-    created: AtomicU64,
-    reused: AtomicU64,
+    /// Workspaces built because a worker thread had none yet.
+    pub created: Counter,
+    /// Jobs that reused a worker's existing workspace.
+    pub(crate) reused: Counter,
+    /// Solves that started from a usable warm-start seed.
+    pub warm_hits: Counter,
+    /// Solves that started cold (fresh seed, shape mismatch, or a warm
+    /// attempt retried cold).
+    pub(crate) cold_solves: Counter,
 }
 
 impl WorkspacePool {
@@ -43,14 +54,14 @@ impl WorkspacePool {
         WorkspacePool::default()
     }
 
-    /// Workspaces built because a worker thread had none yet.
-    pub fn created(&self) -> u64 {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Jobs that reused a worker's existing workspace.
-    pub fn reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
+    /// The `solver` object of the `/metrics` document.
+    pub fn metrics_doc(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("warm_hits", (&self.warm_hits).into()),
+            ("cold_solves", (&self.cold_solves).into()),
+            ("workspaces_created", (&self.created).into()),
+            ("workspaces_reused", (&self.reused).into()),
+        ])
     }
 
     /// Run `f` with this thread's pooled solver state, creating it on
@@ -61,11 +72,11 @@ impl WorkspacePool {
         let taken = SLOT.with(|cell| cell.borrow_mut().take());
         let (mut ws, mut seed) = match taken {
             Some(pair) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
+                self.reused.inc();
                 pair
             }
             None => {
-                self.created.fetch_add(1, Ordering::Relaxed);
+                self.created.inc();
                 (SolverWorkspace::new(), SweepSeed::new())
             }
         };
@@ -85,12 +96,12 @@ mod tests {
         let pool = WorkspacePool::new();
         std::thread::spawn(move || {
             pool.with(|_, _| ());
-            assert_eq!(pool.created(), 1);
-            assert_eq!(pool.reused(), 0);
+            assert_eq!(pool.created.get(), 1);
+            assert_eq!(pool.reused.get(), 0);
             pool.with(|_, _| ());
             pool.with(|_, _| ());
-            assert_eq!(pool.created(), 1);
-            assert_eq!(pool.reused(), 2);
+            assert_eq!(pool.created.get(), 1);
+            assert_eq!(pool.reused.get(), 2);
         })
         .join()
         .unwrap();
@@ -111,8 +122,8 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(pool.created(), 4);
-        assert_eq!(pool.reused(), 4);
+        assert_eq!(pool.created.get(), 4);
+        assert_eq!(pool.reused.get(), 4);
     }
 
     #[test]

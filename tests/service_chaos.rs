@@ -151,7 +151,11 @@ fn injected_latency_slows_but_never_corrupts() {
             "latency alone must not degrade fidelity"
         );
     }
-    assert_eq!(plan.injected()[0], 2, "both windowed requests were delayed");
+    assert_eq!(
+        plan.injected_latency.get(),
+        2,
+        "both windowed requests were delayed"
+    );
     h.shutdown();
 }
 
@@ -176,7 +180,7 @@ fn dropped_connections_close_cleanly_and_service_recovers() {
             "round {round} should have been dropped"
         );
     }
-    assert_eq!(plan.injected()[4], 3);
+    assert_eq!(plan.injected_conn_drops.get(), 3);
     // The window has passed: the same request now succeeds, and the
     // server is healthy.
     let (status, v) = http(h.addr(), "/v1/solve", &body);
@@ -209,9 +213,13 @@ fn worker_panic_is_retried_transparently_and_the_worker_respawns() {
         matches!(fidelity_of(&v), "exact" | "approximate"),
         "a retried solve is a full-fidelity solve"
     );
-    assert_eq!(plan.injected()[1], 1, "exactly one panic injected");
+    assert_eq!(
+        plan.injected_worker_panics.get(),
+        1,
+        "exactly one panic injected"
+    );
     let state = h.state();
-    assert!(state.metrics.retries() >= 1, "the retry was counted");
+    assert!(state.metrics.retries.get() >= 1, "the retry was counted");
     // The dead worker was replaced: a fresh request still has a full
     // worker complement to run on.
     let (status, _) = http(h.addr(), "/v1/solve", &solve_body(&cfg, Some("amva")));
@@ -241,8 +249,8 @@ fn worker_panic_with_retries_disabled_is_a_structured_error() {
         err.get("kind").and_then(|k| k.as_str()),
         Some("worker_lost")
     );
-    assert_eq!(plan.injected()[1], 1);
-    assert_eq!(h.state().metrics.errors_of_kind("worker_lost"), 1);
+    assert_eq!(plan.injected_worker_panics.get(), 1);
+    assert_eq!(h.state().metrics.error_kind("worker_lost").get(), 1);
     // Recovery: the pool respawned the worker, the next identical
     // request simply succeeds.
     let (status, v) = http(h.addr(), "/v1/solve", &body);
@@ -285,9 +293,9 @@ fn forced_no_convergence_degrades_opens_the_breaker_and_recloses_it() {
             fidelity_of(&v)
         );
     }
-    assert_eq!(plan.injected()[2], THRESHOLD as u64);
+    assert_eq!(plan.injected_no_convergence.get(), THRESHOLD as u64);
     assert_eq!(state.breaker_state(tier), BreakerState::Open);
-    assert!(state.metrics.breaker_transitions_into(BreakerState::Open) >= 1);
+    assert!(state.metrics.breaker_transitions(BreakerState::Open).get() >= 1);
 
     // Phase 2 — breaker open, fault window over: requests skip the
     // (actually healthy) primary and answer degraded. Still tagged.
@@ -323,10 +331,17 @@ fn forced_no_convergence_degrades_opens_the_breaker_and_recloses_it() {
     assert!(
         state
             .metrics
-            .breaker_transitions_into(BreakerState::HalfOpen)
+            .breaker_transitions(BreakerState::HalfOpen)
+            .get()
             >= 1
     );
-    assert!(state.metrics.breaker_transitions_into(BreakerState::Closed) >= 1);
+    assert!(
+        state
+            .metrics
+            .breaker_transitions(BreakerState::Closed)
+            .get()
+            >= 1
+    );
 
     // The whole episode is visible in /metrics.
     let metrics_doc = get_metrics(h.addr());
@@ -335,12 +350,8 @@ fn forced_no_convergence_degrades_opens_the_breaker_and_recloses_it() {
         fi.get("injected_no_convergence").and_then(|x| x.as_u64()),
         Some(THRESHOLD as u64)
     );
-    let degraded = state
-        .metrics
-        .responses_of_fidelity(lt_core::Fidelity::Degraded)
-        + state
-            .metrics
-            .responses_of_fidelity(lt_core::Fidelity::Bounds);
+    let degraded = state.metrics.responses(lt_core::Fidelity::Degraded).get()
+        + state.metrics.responses(lt_core::Fidelity::Bounds).get();
     assert!(degraded >= (THRESHOLD + 1) as u64);
     h.shutdown();
 }
@@ -407,7 +418,7 @@ fn cache_corruption_is_a_miss_never_a_poisoned_answer() {
         [false, false, true],
         "corruption must cost exactly the one poisoned round"
     );
-    assert_eq!(plan.injected()[3], 1);
+    assert_eq!(plan.injected_cache_corruptions.get(), 1);
     h.shutdown();
 }
 

@@ -284,8 +284,8 @@ fn forwarded_solve_is_byte_identical_to_local_and_tagged() {
     // Counters moved on both sides, and surface in /metrics.
     let owner_cluster = nodes[owner_idx].state().cluster().unwrap();
     let relay_cluster = nodes[relay_idx].state().cluster().unwrap();
-    assert!(owner_cluster.hits_local() >= 1);
-    assert!(relay_cluster.hits_forwarded() >= 1);
+    assert!(owner_cluster.hits_local.get() >= 1);
+    assert!(relay_cluster.hits_forwarded.get() >= 1);
     let (status, m) = http(nodes[relay_idx].addr(), "GET", "/metrics", None);
     assert_eq!(status, 200);
     let cluster_doc = m.get("cluster").expect("cluster metrics block");
@@ -371,13 +371,13 @@ fn killing_the_owner_falls_back_locally_then_ring_reroutes() {
     // either way `served_by` names a survivor while `owner` still names
     // the dead ring owner, and that mismatch is the failover signal.
     let relay = &nodes[0];
-    let before = relay.state().cluster().unwrap().forward_errors();
+    let before = relay.state().cluster().unwrap().forward_errors.get();
     let (status, v) = http(relay.addr(), "POST", "/v1/solve", Some(&config_body(&cfg)));
     assert_eq!(status, 200, "{}", v.encode());
     assert_ne!(str_field(&v, "served_by"), "gamma");
     assert_eq!(str_field(&v, "owner"), "gamma");
     assert!(
-        relay.state().cluster().unwrap().forward_errors() > before,
+        relay.state().cluster().unwrap().forward_errors.get() > before,
         "failed forward must be counted"
     );
 
@@ -467,7 +467,7 @@ fn fault_burst_death_and_rejoin_reconverges_ownership() {
             c.members_alive() == 3 && c.owner_of(&key).as_deref() == Some("gamma")
         })
     });
-    let rebuilds = nodes[0].state().cluster().unwrap().ring_rebuilds();
+    let rebuilds = nodes[0].state().cluster().unwrap().ring_rebuilds.get();
     assert!(
         rebuilds >= 2,
         "death + rejoin must each rebuild the ring, saw {rebuilds}"

@@ -346,8 +346,8 @@ fn metrics_expose_warm_start_and_workspace_counters() {
 
     // Library-level cross-check: the in-process state agrees with the
     // scraped document.
-    assert_eq!(handle.state().metrics.warm_hits(), warm);
-    assert_eq!(handle.state().workspaces.created(), created);
+    assert_eq!(handle.state().workspaces.warm_hits.get(), warm);
+    assert_eq!(handle.state().workspaces.created.get(), created);
     handle.shutdown();
 }
 
@@ -821,5 +821,189 @@ fn idle_connection_swarm_is_tracked_by_reactor_gauges() {
     let (status, v) = http(addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{}", v.encode());
     drop(swarm);
+    handle.shutdown();
+}
+
+/// Every leaf of a JSON document as `dotted.path: type`, in document
+/// order (objects are ordered, so this pins key order and nesting too).
+fn leaf_shape(v: &JsonValue, path: &str, out: &mut Vec<String>) {
+    let kind = match v {
+        JsonValue::Object(fields) if !fields.is_empty() => {
+            for (k, x) in fields {
+                let child = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
+                leaf_shape(x, &child, out);
+            }
+            return;
+        }
+        JsonValue::Object(_) => "object",
+        JsonValue::Null => "null",
+        JsonValue::Bool(_) => "bool",
+        JsonValue::Number(_) => "number",
+        JsonValue::String(_) => "string",
+        JsonValue::Array(_) => "array",
+    };
+    out.push(format!("{path}: {kind}"));
+}
+
+/// The `/metrics` leaf shape of a running server, after one request.
+fn metrics_shape(handle: &lt_service::ServerHandle) -> Vec<String> {
+    let (status, _) = http(handle.addr(), "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    let (status, m) = http(handle.addr(), "GET", "/metrics", None);
+    assert_eq!(status, 200, "{}", m.encode());
+    let mut out = Vec::new();
+    leaf_shape(&m, "", &mut out);
+    out
+}
+
+/// `/metrics` leaves every server reports, as `path: type` in document order.
+const SHAPE_BASE: &str = "\
+endpoints.solve.requests: number
+endpoints.solve.errors: number
+endpoints.sweep.requests: number
+endpoints.sweep.errors: number
+endpoints.tolerance.requests: number
+endpoints.tolerance.errors: number
+endpoints.healthz.requests: number
+endpoints.healthz.errors: number
+endpoints.metrics.requests: number
+endpoints.metrics.errors: number
+endpoints.cluster.requests: number
+endpoints.cluster.errors: number
+errors_by_kind.invalid_config: number
+errors_by_kind.invalid_field: number
+errors_by_kind.no_convergence: number
+errors_by_kind.problem_too_large: number
+errors_by_kind.degenerate_model: number
+errors_by_kind.unsupported: number
+errors_by_kind.timeout: number
+errors_by_kind.bad_request: number
+errors_by_kind.overloaded: number
+errors_by_kind.worker_lost: number
+errors_by_kind.not_found: number
+errors_by_kind.internal: number
+latency.count: number
+latency.mean_ms: number
+latency.max_ms: number
+latency.p50_ms: number
+latency.p95_ms: number
+latency.p99_ms: number
+resilience.shed: number
+resilience.retries: number
+resilience.breaker_transitions.closed: number
+resilience.breaker_transitions.opened: number
+resilience.breaker_transitions.half_opened: number
+resilience.responses_by_fidelity.exact: number
+resilience.responses_by_fidelity.approximate: number
+resilience.responses_by_fidelity.bounds: number
+resilience.responses_by_fidelity.degraded: number
+cache.hits: number
+cache.misses: number
+cache.insertions: number
+cache.evictions: number
+cache.entries: number
+cache.capacity: number
+pool.workers: number
+pool.jobs_submitted: number
+pool.jobs_completed: number
+pool.workers_lost: number
+breakers.auto: string
+breakers.symmetric: string
+breakers.amva: string
+breakers.linearizer: string
+breakers.exact: string
+solver.warm_hits: number
+solver.cold_solves: number
+solver.workspaces_created: number
+solver.workspaces_reused: number
+reactor.conn.idle: number
+reactor.conn.reading: number
+reactor.conn.dispatched: number
+reactor.conn.writing: number
+reactor.accept_errors: number
+reactor.wakeups: number
+reactor.io_threads: number
+reactor.handler_threads: number
+reactor.handler_threads_spawned: number
+";
+
+/// Leaves appended when a `FaultPlan` is installed.
+const SHAPE_FAULT: &str = "\
+fault_injection.requests_seen: number
+fault_injection.injected_latency: number
+fault_injection.injected_worker_panics: number
+fault_injection.injected_no_convergence: number
+fault_injection.injected_cache_corruptions: number
+fault_injection.injected_conn_drops: number
+";
+
+/// Leaves appended in cluster mode with a `ChaosNet`.
+const SHAPE_CLUSTER: &str = "\
+cluster.node_id: string
+cluster.owned_keys_ratio: number
+cluster.hits_local: number
+cluster.hits_forwarded: number
+cluster.forward_errors: number
+cluster.members_alive: number
+cluster.ring_rebuilds: number
+cluster.partitions_observed: number
+cluster.forward.retries: number
+cluster.forward.replica_hits: number
+cluster.forward.budget_exhausted: number
+cluster.handoff.queued: number
+cluster.handoff.delivered: number
+cluster.handoff.dropped: number
+cluster.handoff.pending: number
+link_faults.dropped: number
+link_faults.delayed: number
+link_faults.duplicated: number
+link_faults.severed: number
+link_faults.partitioned: bool
+";
+
+/// A shape constant as lines.
+fn shape_lines(parts: &[&str]) -> Vec<String> {
+    parts
+        .iter()
+        .flat_map(|p| p.lines())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn metrics_document_keeps_its_golden_shape() {
+    let handle = start_with(|_| {});
+    assert_eq!(metrics_shape(&handle), shape_lines(&[SHAPE_BASE]));
+    handle.shutdown();
+
+    let handle = start_with(|cfg| {
+        cfg.fault_plan = Some(Arc::new(lt_service::FaultPlan::new(
+            lt_service::FaultSpec::default(),
+        )))
+    });
+    assert_eq!(
+        metrics_shape(&handle),
+        shape_lines(&[SHAPE_BASE, SHAPE_FAULT])
+    );
+    handle.shutdown();
+
+    // A one-node cluster: no peers to probe, but the cluster and link
+    // fault sections are rendered exactly as on a real member.
+    let handle = start_with(|cfg| {
+        cfg.cluster = Some(lt_service::ClusterConfig {
+            link_faults: Some(Arc::new(lt_service::ChaosNet::new(
+                lt_service::LinkFaultSpec::default(),
+            ))),
+            ..lt_service::ClusterConfig::new("solo")
+        })
+    });
+    assert_eq!(
+        metrics_shape(&handle),
+        shape_lines(&[SHAPE_BASE, SHAPE_CLUSTER])
+    );
     handle.shutdown();
 }

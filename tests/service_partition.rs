@@ -255,9 +255,9 @@ fn full_bisection_scenario(seed: u64) {
     // pre-partition forwarded-hit profile we expect back after heal.
     let relay = nodes[0].addr();
     assert_eq!(run_sweep(relay), (12, 0));
-    let forwarded_before_pass2 = sum_over(&nodes, |c| c.hits_forwarded());
+    let forwarded_before_pass2 = sum_over(&nodes, |c| c.hits_forwarded.get());
     assert_eq!(run_sweep(relay), (12, 12));
-    let forwarded_per_sweep = sum_over(&nodes, |c| c.hits_forwarded()) - forwarded_before_pass2;
+    let forwarded_per_sweep = sum_over(&nodes, |c| c.hits_forwarded.get()) - forwarded_before_pass2;
     assert!(
         forwarded_per_sweep > 0,
         "five owners, twelve keys: alpha cannot own them all"
@@ -285,8 +285,8 @@ fn full_bisection_scenario(seed: u64) {
         alive_at(&nodes[0]) == 2
             && alive_at(&nodes[1]) == 2
             && nodes[2..].iter().all(|n| alive_at(n) == 3)
-            && cluster_of(&nodes[0]).partitions_observed() >= 1
-            && cluster_of(&nodes[2]).partitions_observed() >= 1
+            && cluster_of(&nodes[0]).partitions_observed.get() >= 1
+            && cluster_of(&nodes[2]).partitions_observed.get() >= 1
     });
 
     // Side A serves a key homed on side B: answered by a survivor,
@@ -306,7 +306,7 @@ fn full_bisection_scenario(seed: u64) {
     let side_a = &nodes[..2];
     let side_b = &nodes[2..];
     await_true("the orphaned solve is queued as a hint", || {
-        sum_over(side_a, |c| c.handoff_queued()) >= 1
+        sum_over(side_a, |c| c.handoff_queued.get()) >= 1
     });
 
     // Side B serves a key homed on side A, symmetrically.
@@ -328,8 +328,8 @@ fn full_bisection_scenario(seed: u64) {
     // The full sweep still completes on the cut-off minority side.
     let (ok, _) = run_sweep(relay);
     assert_eq!(ok, 12, "every sweep item is served during the partition");
-    let queued_a = sum_over(side_a, |c| c.handoff_queued());
-    let queued_b = sum_over(side_b, |c| c.handoff_queued());
+    let queued_a = sum_over(side_a, |c| c.handoff_queued.get());
+    let queued_b = sum_over(side_b, |c| c.handoff_queued.get());
     assert!(queued_a >= 1, "side A holds hints for side B's keys");
 
     // Heal. Membership re-converges, the rings re-expand, and every
@@ -345,12 +345,16 @@ fn full_bisection_scenario(seed: u64) {
     // for (delivered or dropped) as well.
     await_true("hints drain to their home nodes", || {
         nodes.iter().all(|n| cluster_of(n).hints_pending() == 0)
-            && sum_over(side_a, |c| c.handoff_delivered() + c.handoff_dropped()) >= queued_a
-            && sum_over(side_b, |c| c.handoff_delivered() + c.handoff_dropped()) >= queued_b
+            && sum_over(side_a, |c| {
+                c.handoff_delivered.get() + c.handoff_dropped.get()
+            }) >= queued_a
+            && sum_over(side_b, |c| {
+                c.handoff_delivered.get() + c.handoff_dropped.get()
+            }) >= queued_b
     });
-    assert_eq!(sum_over(side_a, |c| c.handoff_delivered()), queued_a);
-    assert_eq!(sum_over(side_b, |c| c.handoff_delivered()), queued_b);
-    assert_eq!(sum_over(&nodes, |c| c.handoff_dropped()), 0);
+    assert_eq!(sum_over(side_a, |c| c.handoff_delivered.get()), queued_a);
+    assert_eq!(sum_over(side_b, |c| c.handoff_delivered.get()), queued_b);
+    assert_eq!(sum_over(&nodes, |c| c.handoff_dropped.get()), 0);
 
     // The money shot: gamma never solved the probe key — it was cut off
     // when side A computed it — yet it now answers from its own cache,
@@ -371,10 +375,10 @@ fn full_bisection_scenario(seed: u64) {
     );
     // And the repeat-sweep profile through alpha is back to exactly its
     // pre-partition shape: all cached, same forwarded-hit count.
-    let forwarded_before_repeat = sum_over(&nodes, |c| c.hits_forwarded());
+    let forwarded_before_repeat = sum_over(&nodes, |c| c.hits_forwarded.get());
     assert_eq!(run_sweep(relay), (12, 12));
     assert_eq!(
-        sum_over(&nodes, |c| c.hits_forwarded()) - forwarded_before_repeat,
+        sum_over(&nodes, |c| c.hits_forwarded.get()) - forwarded_before_repeat,
         forwarded_per_sweep,
         "forwarded-hit profile recovers to the pre-partition value"
     );
@@ -425,7 +429,7 @@ fn one_way_partition_is_survived_and_healed() {
     assert_eq!(str_field(&v, "served_by"), "alpha", "{}", v.encode());
     assert_full_fidelity(&v);
     await_true("alpha queues the orphaned solve as a hint", || {
-        cluster_of(&nodes[0]).handoff_queued() >= 1
+        cluster_of(&nodes[0]).handoff_queued.get() >= 1
     });
 
     // The majority side keeps serving alpha's keys meanwhile.
@@ -443,7 +447,8 @@ fn one_way_partition_is_survived_and_healed() {
         nodes.iter().all(|n| alive_at(n) == IDS.len())
     });
     await_true("alpha's hints drain", || {
-        cluster_of(&nodes[0]).hints_pending() == 0 && cluster_of(&nodes[0]).handoff_delivered() >= 1
+        cluster_of(&nodes[0]).hints_pending() == 0
+            && cluster_of(&nodes[0]).handoff_delivered.get() >= 1
     });
 
     // Gamma answers the hinted key from cache without ever solving it.
